@@ -83,7 +83,8 @@ void ImpRuntimeCascade::pre(const Annotation &Ann, const Cmd &Cm,
   if (Idx < 0)
     return;
   ImpMonitorEvent Ev{Ann, Cm, ImpStoreView(S), Step};
-  Iso.guard(static_cast<unsigned>(Idx), C.monitor(Idx).name(), Ann.text(),
+  Iso.guard(static_cast<unsigned>(Idx), C.monitor(Idx).name(),
+            [&Ann] { return Ann.text(); },
             /*InPost=*/false, Step,
             [&] { C.monitor(Idx).pre(Ev, *States[Idx]); });
 }
@@ -94,7 +95,8 @@ void ImpRuntimeCascade::post(const Annotation &Ann, const Cmd &Cm,
   if (Idx < 0)
     return;
   ImpMonitorEvent Ev{Ann, Cm, ImpStoreView(S), Step};
-  Iso.guard(static_cast<unsigned>(Idx), C.monitor(Idx).name(), Ann.text(),
+  Iso.guard(static_cast<unsigned>(Idx), C.monitor(Idx).name(),
+            [&Ann] { return Ann.text(); },
             /*InPost=*/true, Step,
             [&] { C.monitor(Idx).post(Ev, *States[Idx]); });
 }

@@ -60,8 +60,8 @@ public:
     return std::make_unique<ImpStmtProfilerState>();
   }
   void pre(const ImpMonitorEvent &Ev, MonitorState &S) const override {
-    ++static_cast<ImpStmtProfilerState &>(S)
-          .Counters[std::string(Ev.Ann.Head.str())];
+    ++entryFor(static_cast<ImpStmtProfilerState &>(S).Counters,
+               Ev.Ann.Head.str());
   }
   void post(const ImpMonitorEvent &, MonitorState &) const override {}
 

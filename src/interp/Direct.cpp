@@ -203,8 +203,9 @@ DirectFunctional monsem::deriveMonitoring(DirectFunctional G, const Monitor &M,
           MonitorEvent Pre{Ann,      *N->Inner, EnvView(Env),
                            Ctx.Calls, Ctx.A.bytesAllocated(), MCtx};
           if (Iso)
-            Iso->guard(MonitorIdx, M.name(), Ann.text(), /*InPost=*/false,
-                       Ctx.Calls, [&] { M.pre(Pre, State); });
+            Iso->guard(MonitorIdx, M.name(), [&Ann] { return Ann.text(); },
+                       /*InPost=*/false, Ctx.Calls,
+                       [&] { M.pre(Pre, State); });
           else
             M.pre(Pre, State);
           const Expr *Inner = N->Inner;
@@ -214,8 +215,9 @@ DirectFunctional monsem::deriveMonitoring(DirectFunctional G, const Monitor &M,
             MonitorEvent Post{*N->Ann,   *Inner, EnvView(Env), Ctx.Calls,
                               Ctx.A.bytesAllocated(), MCtx};
             if (Iso)
-              Iso->guard(MonitorIdx, M.name(), N->Ann->text(),
-                         /*InPost=*/true, Ctx.Calls,
+              Iso->guard(MonitorIdx, M.name(),
+                         [N] { return N->Ann->text(); }, /*InPost=*/true,
+                         Ctx.Calls,
                          [&] { M.post(Post, V, State); });
             else
               M.post(Post, V, State);

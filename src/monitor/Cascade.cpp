@@ -95,7 +95,8 @@ void RuntimeCascade::pre(const Annotation &Ann, const Expr &E, EnvView Env,
     return;
   InnerView View(*this, static_cast<unsigned>(Idx));
   MonitorEvent Ev{Ann, E, Env, StepIndex, AllocatedBytes, View};
-  Iso.guard(static_cast<unsigned>(Idx), C.monitor(Idx).name(), Ann.text(),
+  Iso.guard(static_cast<unsigned>(Idx), C.monitor(Idx).name(),
+            [&Ann] { return Ann.text(); },
             /*InPost=*/false, StepIndex,
             [&] { C.monitor(Idx).pre(Ev, *States[Idx]); });
 }
@@ -108,7 +109,8 @@ void RuntimeCascade::post(const Annotation &Ann, const Expr &E, EnvView Env,
     return;
   InnerView View(*this, static_cast<unsigned>(Idx));
   MonitorEvent Ev{Ann, E, Env, StepIndex, AllocatedBytes, View};
-  Iso.guard(static_cast<unsigned>(Idx), C.monitor(Idx).name(), Ann.text(),
+  Iso.guard(static_cast<unsigned>(Idx), C.monitor(Idx).name(),
+            [&Ann] { return Ann.text(); },
             /*InPost=*/true, StepIndex,
             [&] { C.monitor(Idx).post(Ev, Result, *States[Idx]); });
 }

@@ -48,12 +48,12 @@ void FaultIsolator::setPolicy(unsigned Idx, FaultPolicy P) {
 }
 
 bool FaultIsolator::onFault(unsigned Idx, std::string_view Name,
-                            std::string_view Site, bool InPost,
-                            uint64_t Step, std::string Message) {
+                            std::string Site, bool InPost, uint64_t Step,
+                            std::string Message) {
   MonitorFault F;
   F.MonitorIndex = Idx;
   F.MonitorName = std::string(Name);
-  F.Site = std::string(Site);
+  F.Site = std::move(Site);
   F.InPost = InPost;
   F.Step = Step;
   F.Message = std::move(Message);

@@ -54,7 +54,8 @@ bool parseFaultPolicy(std::string_view Name, FaultPolicy &Out);
 struct MonitorFault {
   unsigned MonitorIndex = 0;  ///< Index within its cascade.
   std::string MonitorName;
-  std::string Site;           ///< Annotation text of the probe, e.g. "{fac}".
+  std::string Site;           ///< Annotation text of the probe, e.g. "{fac}";
+                              ///< rendered only when the fault happens.
   bool InPost = false;        ///< Probe side: updPre (false) or updPost.
   uint64_t Step = 0;          ///< Evaluator step count at fault time.
   std::string Message;        ///< what() of the escaped exception.
@@ -95,9 +96,13 @@ public:
   /// a quarantined monitor is skipped. Anything the hook throws is caught
   /// and handled per the monitor's policy; only MonitorAbort (policy
   /// Abort) propagates to the caller.
-  template <typename Fn>
-  void guard(unsigned Idx, std::string_view Name, std::string_view Site,
-             bool InPost, uint64_t Step, Fn &&Hook) {
+  ///
+  /// \p Site is a callable returning the probe's annotation text (the
+  /// fault's MonitorFault::Site). It is called only when the hook faults,
+  /// so a probe that does not fault formats nothing.
+  template <typename SiteFn, typename Fn>
+  void guard(unsigned Idx, std::string_view Name, SiteFn &&Site, bool InPost,
+             uint64_t Step, Fn &&Hook) {
     if (quarantined(Idx))
       return;
     while (true) {
@@ -105,10 +110,10 @@ public:
         Hook();
         return;
       } catch (const std::exception &E) {
-        if (!onFault(Idx, Name, Site, InPost, Step, E.what()))
+        if (!onFault(Idx, Name, Site(), InPost, Step, E.what()))
           return;
       } catch (...) {
-        if (!onFault(Idx, Name, Site, InPost, Step,
+        if (!onFault(Idx, Name, Site(), InPost, Step,
                      "non-standard exception"))
           return;
       }
@@ -122,7 +127,7 @@ private:
   /// Records the fault and applies the policy. Returns true to retry the
   /// hook, false to skip it and continue the run; throws MonitorAbort
   /// under FaultPolicy::Abort.
-  bool onFault(unsigned Idx, std::string_view Name, std::string_view Site,
+  bool onFault(unsigned Idx, std::string_view Name, std::string Site,
                bool InPost, uint64_t Step, std::string Message);
 
   struct Slot {

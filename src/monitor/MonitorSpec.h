@@ -34,6 +34,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 namespace monsem {
@@ -64,6 +66,20 @@ public:
   virtual void load(Deserializer &D) {}
 };
 
+/// The entry for \p Key in a std::map with a transparent comparator (e.g.
+/// std::string keys under std::less<>, looked up by std::string_view),
+/// value-initialized on first use. Monitor states keep spelling-keyed
+/// tables so str() renders them sorted; a hit on an existing key allocates
+/// nothing, so pre/post stay cheap.
+template <typename Map, typename Key>
+typename Map::mapped_type &entryFor(Map &M, const Key &K) {
+  auto It = M.lower_bound(K);
+  if (It == M.end() || M.key_comp()(K, It->first))
+    It = M.emplace_hint(It, std::piecewise_construct,
+                        std::forward_as_tuple(K), std::forward_as_tuple());
+  return It->second;
+}
+
 /// Read-only view of the semantic context (the A*_i arguments: for
 /// L_lambda, the environment rho) that a monitoring function receives.
 class EnvView {
@@ -91,9 +107,17 @@ public:
 
   /// ToStr(rho(x)) with "?" for unbound names — the tracer's convention.
   std::string lookupStr(Symbol Name) const {
+    std::string Out;
+    appendStr(Out, Name);
+    return Out;
+  }
+
+  /// Appends lookupStr(Name) to \p Out.
+  void appendStr(std::string &Out, Symbol Name) const {
     if (auto V = lookup(Name))
-      return toDisplayString(*V);
-    return "?";
+      appendDisplayString(Out, *V);
+    else
+      Out += '?';
   }
 
   /// The visible bindings, innermost first, up to \p Limit entries.

@@ -98,18 +98,19 @@ public:
 
   void pre(const MonitorEvent &Ev, MonitorState &State) const override {
     auto &S = static_cast<AllocProfilerState &>(State);
-    S.Stack.emplace_back(std::string(Ev.Ann.Head.str()), Ev.AllocatedBytes);
+    S.Stack.emplace_back(Ev.Ann.Head.str(), Ev.AllocatedBytes);
   }
 
   void post(const MonitorEvent &Ev, Value, MonitorState &State) const override {
     auto &S = static_cast<AllocProfilerState &>(State);
     if (S.Stack.empty())
       return;
-    auto [Label, Start] = S.Stack.back();
-    S.Stack.pop_back();
+    // Label and Start refer into the top entry: pop it only after use.
+    const auto &[Label, Start] = S.Stack.back();
     uint64_t Bytes =
         Ev.AllocatedBytes >= Start ? Ev.AllocatedBytes - Start : 0;
-    auto &E = S.Entries[Label];
+    auto &E = entryFor(S.Entries, Label);
+    S.Stack.pop_back();
     ++E.Calls;
     E.TotalBytes += Bytes;
     if (Bytes > E.MaxBytes)

@@ -22,12 +22,24 @@ namespace monsem {
 
 class CallGraphState : public MonitorState {
 public:
+  /// Orders (caller, callee) pairs as std::pair<std::string, std::string>
+  /// does, and lets the table be searched by a pair of string_views.
+  struct EdgeLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A &L, const B &R) const {
+      return std::pair<std::string_view, std::string_view>(L.first,
+                                                           L.second) <
+             std::pair<std::string_view, std::string_view>(R.first, R.second);
+    }
+  };
+
   /// (caller, callee) -> count. The synthetic root caller is "<root>".
-  std::map<std::pair<std::string, std::string>, uint64_t> Edges;
+  std::map<std::pair<std::string, std::string>, uint64_t, EdgeLess> Edges;
   std::vector<std::string> Stack;
 
   uint64_t edge(std::string_view From, std::string_view To) const {
-    auto It = Edges.find({std::string(From), std::string(To)});
+    auto It = Edges.find(std::pair(From, To));
     return It == Edges.end() ? 0 : It->second;
   }
 
@@ -82,10 +94,11 @@ public:
 
   void pre(const MonitorEvent &Ev, MonitorState &State) const override {
     auto &S = static_cast<CallGraphState &>(State);
-    std::string Callee(Ev.Ann.Head.str());
-    std::string Caller = S.Stack.empty() ? "<root>" : S.Stack.back();
-    ++S.Edges[{Caller, Callee}];
-    S.Stack.push_back(std::move(Callee));
+    std::string_view Callee = Ev.Ann.Head.str();
+    std::string_view Caller =
+        S.Stack.empty() ? std::string_view("<root>") : S.Stack.back();
+    ++entryFor(S.Edges, std::pair(Caller, Callee));
+    S.Stack.emplace_back(Callee);
   }
 
   void post(const MonitorEvent &, Value, MonitorState &State) const override {

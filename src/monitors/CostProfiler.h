@@ -105,17 +105,18 @@ public:
 
   void pre(const MonitorEvent &Ev, MonitorState &State) const override {
     auto &S = static_cast<CostProfilerState &>(State);
-    S.Stack.emplace_back(std::string(Ev.Ann.Head.str()), Ev.StepIndex);
+    S.Stack.emplace_back(Ev.Ann.Head.str(), Ev.StepIndex);
   }
 
   void post(const MonitorEvent &Ev, Value, MonitorState &State) const override {
     auto &S = static_cast<CostProfilerState &>(State);
     if (S.Stack.empty())
       return; // Defensive: unmatched post (cannot happen in well-formed runs).
-    auto [Label, Start] = S.Stack.back();
-    S.Stack.pop_back();
+    // Label and Start refer into the top entry: pop it only after use.
+    const auto &[Label, Start] = S.Stack.back();
     uint64_t Cost = Ev.StepIndex >= Start ? Ev.StepIndex - Start : 0;
-    auto &E = S.Entries[Label];
+    auto &E = entryFor(S.Entries, Label);
+    S.Stack.pop_back();
     ++E.Calls;
     E.TotalSteps += Cost;
     if (Cost < E.MinSteps)

@@ -20,7 +20,7 @@ namespace monsem {
 
 class CoverageState : public MonitorState {
 public:
-  std::set<std::string> Hit;
+  std::set<std::string, std::less<>> Hit;
   uint64_t TotalHits = 0;
   unsigned TotalPoints = 0;
 
@@ -73,7 +73,9 @@ public:
   }
   void pre(const MonitorEvent &Ev, MonitorState &State) const override {
     auto &S = static_cast<CoverageState &>(State);
-    S.Hit.insert(std::string(Ev.Ann.Head.str()));
+    std::string_view Point = Ev.Ann.Head.str();
+    if (S.Hit.find(Point) == S.Hit.end())
+      S.Hit.emplace(Point);
     ++S.TotalHits;
   }
   void post(const MonitorEvent &, Value, MonitorState &) const override {}

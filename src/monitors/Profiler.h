@@ -139,7 +139,7 @@ public:
   /// incCtr [f] rho_c.
   void pre(const MonitorEvent &Ev, MonitorState &State) const override {
     auto &S = static_cast<CallProfilerState &>(State);
-    ++S.Counters[std::string(Ev.Ann.Head.str())];
+    ++entryFor(S.Counters, Ev.Ann.Head.str());
   }
 
   /// M_post [f] [e] rho v rho_c = rho_c.

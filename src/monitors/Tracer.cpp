@@ -6,18 +6,13 @@
 
 using namespace monsem;
 
-static std::string upperName(Symbol S) {
-  std::string Out(S.str());
-  for (char &C : Out)
-    C = static_cast<char>(std::toupper(static_cast<unsigned char>(C)));
-  return Out;
-}
-
-static std::string indent(int N) {
-  std::string Out;
-  for (int I = 0; I < N; ++I)
-    Out += "     ";
-  return Out;
+/// Starts \p Line as `<indent>[F` for a probe of function \p Name at trace
+/// level \p Level: five spaces per level, the name upper-cased.
+static void beginLine(std::string &Line, int Level, Symbol Name) {
+  Line.assign(Level > 0 ? static_cast<size_t>(Level) * 5 : 0, ' ');
+  Line += '[';
+  for (char C : Name.str())
+    Line += static_cast<char>(std::toupper(static_cast<unsigned char>(C)));
 }
 
 std::unique_ptr<MonitorState> Tracer::initialState() const {
@@ -30,15 +25,16 @@ std::unique_ptr<MonitorState> Tracer::initialState() const {
 void Tracer::pre(const MonitorEvent &Ev, MonitorState &State) const {
   auto &S = static_cast<TracerState &>(State);
   // printChan ("[" ++ f ++ " receives (" ++ ToStr(rho(x1)) ++ ... ++ ")]")
-  std::string Line = indent(S.Level) + "[" + upperName(Ev.Ann.Head) +
-                     " receives (";
+  std::string &Line = S.LineBuf;
+  beginLine(Line, S.Level, Ev.Ann.Head);
+  Line += " receives (";
   for (size_t I = 0; I < Ev.Ann.Params.size(); ++I) {
     if (I != 0)
       Line += ' ';
-    Line += Ev.Env.lookupStr(Ev.Ann.Params[I]);
+    Ev.Env.appendStr(Line, Ev.Ann.Params[I]);
   }
   Line += ")]";
-  S.Chan.addLine(std::move(Line));
+  S.Chan.addLine(Line);
   ++S.Level;
 }
 
@@ -46,6 +42,10 @@ void Tracer::post(const MonitorEvent &Ev, Value Result,
                   MonitorState &State) const {
   auto &S = static_cast<TracerState &>(State);
   --S.Level;
-  S.Chan.addLine(indent(S.Level) + "[" + upperName(Ev.Ann.Head) +
-                 " returns " + toDisplayString(Result) + "]");
+  std::string &Line = S.LineBuf;
+  beginLine(Line, S.Level, Ev.Ann.Head);
+  Line += " returns ";
+  appendDisplayString(Line, Result);
+  Line += ']';
+  S.Chan.addLine(Line);
 }

@@ -37,6 +37,9 @@ class TracerState : public MonitorState {
 public:
   OutChan Chan;
   int Level = 0;
+  /// Reused line buffer: each line is built here and the channel keeps an
+  /// exact-size copy. Not data: neither saved nor rendered.
+  std::string LineBuf;
 
   std::string str() const override { return Chan.str(); }
 

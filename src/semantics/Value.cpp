@@ -2,18 +2,21 @@
 
 #include "semantics/Value.h"
 
+#include <charconv>
+
 using namespace monsem;
 
-namespace {
-
-void render(std::string &Out, Value V) {
+void monsem::appendDisplayString(std::string &Out, Value V) {
   switch (V.kind()) {
   case ValueKind::Unit:
     Out += "<uninitialized>";
     return;
-  case ValueKind::Int:
-    Out += std::to_string(V.asInt());
+  case ValueKind::Int: {
+    char Buf[24];
+    char *End = std::to_chars(Buf, Buf + sizeof(Buf), V.asInt()).ptr;
+    Out.append(Buf, End);
     return;
+  }
   case ValueKind::Bool:
     Out += V.asBool() ? "True" : "False";
     return;
@@ -31,13 +34,13 @@ void render(std::string &Out, Value V) {
       if (!First)
         Out += ", ";
       First = false;
-      render(Out, Cur.asCell()->Head);
+      appendDisplayString(Out, Cur.asCell()->Head);
       Cur = Cur.asCell()->Tail;
     }
     if (!Cur.is(ValueKind::Nil)) {
       // Improper list: render the dotted tail.
       Out += " . ";
-      render(Out, Cur);
+      appendDisplayString(Out, Cur);
     }
     Out += ']';
     return;
@@ -64,7 +67,7 @@ void render(std::string &Out, Value V) {
   case ValueKind::Thunk: {
     const Thunk *T = V.asThunk();
     if (T->St == Thunk::State::Forced) {
-      render(Out, T->Memo);
+      appendDisplayString(Out, T->Memo);
       return;
     }
     Out += "<thunk>";
@@ -73,11 +76,9 @@ void render(std::string &Out, Value V) {
   }
 }
 
-} // namespace
-
 std::string monsem::toDisplayString(Value V) {
   std::string Out;
-  render(Out, V);
+  appendDisplayString(Out, V);
   return Out;
 }
 

@@ -625,6 +625,10 @@ inline const Value *lookupFrame(const EnvFrame *Env, Symbol Name,
 /// verbatim, "<thunk>" for unforced thunks (forced ones render their memo).
 std::string toDisplayString(Value V);
 
+/// Appends toDisplayString(V) to \p Out, for callers that build text in a
+/// reused buffer.
+void appendDisplayString(std::string &Out, Value V);
+
 /// Structural equality as computed by the `=` primitive. Sets \p Ok to
 /// false (and returns false) when the comparison is undefined (functions).
 bool valueEquals(Value A, Value B, bool &Ok);

@@ -2,8 +2,11 @@
 
 #include "support/Symbol.h"
 
+#include <atomic>
+#include <bit>
 #include <cassert>
-#include <deque>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
@@ -12,21 +15,42 @@ using namespace monsem;
 
 namespace {
 
-/// Process-wide intern table. Spellings are stored in a deque so handles
-/// remain stable as the table grows. Index 0 is reserved for the sentinel.
+/// Spellings by id, in chunks reached through a fixed directory, so a
+/// published spelling never moves and str() reads it without a lock: one
+/// acquire load of the chunk pointer, then the slot. Chunk K holds
+/// FirstChunk << K spellings, so a small program touches only the first
+/// few kilobytes and the directory still covers FirstChunk * (2^NumChunks -
+/// 1) ids. Id 0 (the sentinel) is never stored; str() answers it without
+/// touching the table.
 ///
-/// Thread safety: server workers parse programs (and render probe events)
-/// concurrently, so the table takes a reader-writer lock — shared for the
-/// str() hot path and the already-interned fast path, exclusive only when
-/// a new spelling is actually inserted. Handles and the string storage are
-/// stable once published, so a Symbol obtained under one lock is usable
-/// forever without one.
+/// The directory is constant-initialized, so str() needs no guard for
+/// first use either.
+constexpr unsigned FirstChunkBits = 8;
+constexpr unsigned FirstChunk = 1u << FirstChunkBits;
+constexpr unsigned NumChunks = 20; ///< About 268M spellings in all.
+constexpr unsigned Capacity = FirstChunk * ((1u << NumChunks) - 1);
+
+constinit std::atomic<std::string *> Chunks[NumChunks] = {};
+
+/// Chunk K covers ids [FirstChunk * (2^K - 1), FirstChunk * (2^(K+1) - 1)).
+struct Slot {
+  unsigned Chunk, Index;
+};
+Slot locate(unsigned Id) {
+  unsigned Biased = Id + FirstChunk;
+  unsigned Chunk = std::bit_width(Biased) - 1 - FirstChunkBits;
+  return {Chunk, Biased - (FirstChunk << Chunk)};
+}
+
+/// The writer side. Interning takes a reader-writer lock — shared for the
+/// already-interned fast path, exclusive only when a new spelling is
+/// inserted. A new spelling is written into its slot (and its chunk
+/// allocated and published, release) under the exclusive lock before its
+/// id is handed out, so any thread holding a Symbol can read its spelling.
 struct InternTable {
   std::shared_mutex M;
-  std::deque<std::string> Spellings;
   std::unordered_map<std::string_view, unsigned> Index;
-
-  InternTable() { Spellings.emplace_back(); }
+  unsigned Next = 1;
 
   unsigned intern(std::string_view Spelling) {
     {
@@ -40,15 +64,25 @@ struct InternTable {
     auto It = Index.find(Spelling);
     if (It != Index.end())
       return It->second;
-    Spellings.emplace_back(Spelling);
-    unsigned Id = static_cast<unsigned>(Spellings.size() - 1);
-    Index.emplace(std::string_view(Spellings.back()), Id);
+    unsigned Id = Next;
+    if (Id >= Capacity) {
+      std::fprintf(stderr,
+                   "monsem: symbol table full (%u spellings interned)\n",
+                   Id - 1);
+      std::abort();
+    }
+    Slot At = locate(Id);
+    std::string *Slots = Chunks[At.Chunk].load(std::memory_order_relaxed);
+    if (!Slots) {
+      // Never freed: a Symbol stays readable for the life of the process.
+      Slots = new std::string[FirstChunk << At.Chunk];
+      Chunks[At.Chunk].store(Slots, std::memory_order_release);
+    }
+    std::string &S = Slots[At.Index];
+    S = Spelling;
+    Index.emplace(std::string_view(S), Id);
+    ++Next;
     return Id;
-  }
-
-  std::string_view str(unsigned Id) {
-    std::shared_lock<std::shared_mutex> Lock(M);
-    return Spellings[Id];
   }
 };
 
@@ -65,5 +99,8 @@ Symbol Symbol::intern(std::string_view Spelling) {
 }
 
 std::string_view Symbol::str() const {
-  return table().str(Id);
+  if (Id == 0)
+    return {};
+  Slot At = locate(Id);
+  return Chunks[At.Chunk].load(std::memory_order_acquire)[At.Index];
 }

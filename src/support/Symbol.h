@@ -26,10 +26,10 @@ namespace monsem {
 /// An interned identifier. The empty Symbol (default constructed) is a valid
 /// sentinel that compares unequal to every interned spelling.
 ///
-/// The intern table is process-wide and not synchronized: like the rest of
-/// the library, interning is single-threaded by design (an execution is a
-/// sequential, deterministic process — the setting the paper's monitoring
-/// semantics covers).
+/// The intern table is process-wide and shared by every thread (server
+/// workers parse programs and render probe events concurrently): intern()
+/// takes a reader-writer lock, exclusive only to insert a new spelling;
+/// str() takes no lock at all.
 class Symbol {
 public:
   Symbol() = default;

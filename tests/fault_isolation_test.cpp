@@ -23,6 +23,7 @@
 #include "interp/Eval.h"
 #include "monitors/FaultInjector.h"
 #include "monitors/Profiler.h"
+#include "monitors/Tracer.h"
 
 #include <gtest/gtest.h>
 
@@ -332,6 +333,7 @@ TEST(FaultIsolationTest, ImpCommandMonitorFaultsAreQuarantined) {
       << (Mon.Ok ? "ok" : Mon.Error);
   ASSERT_EQ(Mon.MonitorFaults.size(), 1u);
   EXPECT_EQ(Mon.MonitorFaults[0].MonitorName, "boom");
+  EXPECT_EQ(Mon.MonitorFaults[0].Site, "{tick}");
   EXPECT_TRUE(Mon.MonitorFaults[0].Quarantined);
 
   // Abort policy: the same fault ends the run with an error.
@@ -341,6 +343,145 @@ TEST(FaultIsolationTest, ImpCommandMonitorFaultsAreQuarantined) {
   EXPECT_FALSE(Ab.Ok);
   EXPECT_EQ(Ab.St, Outcome::Error);
   EXPECT_NE(Ab.Error.find("monitor 'boom'"), std::string::npos) << Ab.Error;
+}
+
+//===----------------------------------------------------------------------===//
+// Fault sites: the annotation text is rendered only when a hook faults, and
+// it reads the same on every evaluator
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+const BackendTag EveryLambdaEvaluator[] = {kCEK, kVM, kVMReg, kVMAot,
+                                           kDirect};
+
+const char *evaluatorName(Backend B) {
+  switch (B) {
+  case Backend::CEK:
+    return "cek";
+  case Backend::VM:
+    return "vm";
+  case Backend::VMRegister:
+    return "vm-reg";
+  case Backend::VMAot:
+    return "vm-aot";
+  case Backend::Direct:
+    return "direct";
+  }
+  return "?";
+}
+
+/// "monitor 'NAME' fault in SIDE at SITE (step " — MonitorFault::str()
+/// up to the evaluator-specific step count.
+std::string faultPrefix(std::string_view Name, bool InPost,
+                        std::string_view Site) {
+  return "monitor '" + std::string(Name) + "' fault in " +
+         (InPost ? "post" : "pre") + " at " + std::string(Site) + " (step ";
+}
+
+} // namespace
+
+TEST(FaultIsolationTest, FaultSiteIsRenderedOnEveryEvaluator) {
+  auto P = parseOk(FacSrc);
+  CountingProfiler Count;
+  CallProfiler Prof;
+  for (bool InPost : {false, true}) {
+    FaultInjector::Config Cfg = throwAlways();
+    Cfg.InPre = !InPost;
+    Cfg.InPost = InPost;
+    FaultInjector Inj(Count, Cfg);
+    for (BackendTag B : EveryLambdaEvaluator) {
+      SCOPED_TRACE(std::string(evaluatorName(B.B)) +
+                   (InPost ? " post" : " pre"));
+      RunResult R = evaluate(EvalMode(B) & Inj & Prof, P->root());
+      ASSERT_TRUE(R.Ok) << R.Error;
+      EXPECT_EQ(R.IntValue, 720);
+      ASSERT_EQ(R.MonitorFaults.size(), 1u);
+      const MonitorFault &F = R.MonitorFaults[0];
+      EXPECT_EQ(F.Site, "{count:A}");
+      EXPECT_EQ(F.InPost, InPost);
+      EXPECT_TRUE(F.Quarantined);
+      EXPECT_EQ(F.str().rfind(faultPrefix("count", InPost, "{count:A}"), 0),
+                0u)
+          << F.str();
+    }
+  }
+}
+
+TEST(FaultIsolationTest, RetriedFaultsEachRenderTheSite) {
+  auto P = parseOk(FacSrc);
+  CountingProfiler Count;
+  FaultInjector Inj(Count, throwAlways());
+  for (BackendTag B : EveryLambdaEvaluator) {
+    SCOPED_TRACE(evaluatorName(B.B));
+    RunResult R = evaluate(
+        EvalMode(B) & Inj & onMonitorFault(FaultPolicy::RetryThenQuarantine, 2),
+        P->root());
+    ASSERT_TRUE(R.Ok) << R.Error;
+    ASSERT_EQ(R.MonitorFaults.size(), 3u);
+    for (size_t I = 0; I < 3; ++I) {
+      const MonitorFault &F = R.MonitorFaults[I];
+      EXPECT_EQ(F.Site, "{count:A}") << I;
+      EXPECT_FALSE(F.InPost) << I;
+      EXPECT_EQ(F.Quarantined, I == 2) << I;
+    }
+  }
+}
+
+TEST(FaultIsolationTest, QualifiedSiteWithParametersIsRenderedInFull) {
+  // The injector wraps a tracer, so the faulting monitor is 'trace' and
+  // its probe is a qualified function header.
+  auto P = parseOk("letrec f = lambda x. lambda y. {trace:f(x, y)}: x + y "
+                   "in f 1 2");
+  Tracer T;
+  FaultInjector Inj(T, throwAlways());
+  for (BackendTag B : EveryLambdaEvaluator) {
+    SCOPED_TRACE(evaluatorName(B.B));
+    RunResult R = evaluate(EvalMode(B) & Inj, P->root());
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.IntValue, 3);
+    ASSERT_EQ(R.MonitorFaults.size(), 1u);
+    EXPECT_EQ(R.MonitorFaults[0].MonitorName, "trace");
+    EXPECT_EQ(R.MonitorFaults[0].Site, "{trace:f(x, y)}");
+    EXPECT_EQ(R.MonitorFaults[0].str().rfind(
+                  faultPrefix("trace", false, "{trace:f(x, y)}"), 0),
+              0u)
+        << R.MonitorFaults[0].str();
+  }
+}
+
+TEST(FaultIsolationTest, ImpFaultSitesAreRendered) {
+  ImpContext Ctx;
+  DiagnosticSink Diags;
+  const Cmd *Prog = parseImpProgram(
+      Ctx,
+      "x := 0; while x < 5 do {boom:tock}: x := x + 1; {tick}: x := x end",
+      Diags);
+  ASSERT_NE(Prog, nullptr) << Diags.str();
+  ThrowingImpMonitor Boom;
+  ImpCascade C;
+  C.use(Boom);
+
+  ImpRunResult Q = runImp(C, Prog);
+  ASSERT_TRUE(Q.Ok) << Q.Error;
+  ASSERT_EQ(Q.MonitorFaults.size(), 1u);
+  EXPECT_EQ(Q.MonitorFaults[0].Site, "{boom:tock}");
+  EXPECT_EQ(Q.MonitorFaults[0].str().rfind(
+                faultPrefix("boom", false, "{boom:tock}"), 0),
+            0u)
+      << Q.MonitorFaults[0].str();
+
+  // Retry with a budget of 2: the two retried faults and the quarantining
+  // one each render the site.
+  ImpRunOptions Opts;
+  Opts.MonitorFaultPolicy = FaultPolicy::RetryThenQuarantine;
+  Opts.MonitorRetryBudget = 2;
+  ImpRunResult R = runImp(C, Prog, Opts);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  ASSERT_EQ(R.MonitorFaults.size(), 3u);
+  for (const MonitorFault &F : R.MonitorFaults)
+    EXPECT_EQ(F.Site, "{boom:tock}");
+  EXPECT_TRUE(R.MonitorFaults[2].Quarantined);
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+
 using namespace monsem;
 
 TEST(SymbolTest, InternIsIdempotent) {
@@ -36,6 +40,72 @@ TEST(SymbolTest, ManySymbolsKeepStableSpellings) {
     Syms.push_back(Symbol::intern("sym" + std::to_string(I)));
   for (int I = 0; I < 1000; ++I)
     EXPECT_EQ(Syms[I].str(), "sym" + std::to_string(I));
+}
+
+TEST(SymbolTest, ConcurrentInternAndLockFreeReads) {
+  // Writers intern fresh spellings while readers call str() on symbols
+  // published before the run and on each writer's latest one, handed over
+  // through an atomic. The spelling table's chunks double from 256
+  // entries; 9000 fresh spellings, starting below id 7000 (this binary
+  // interns far fewer before), publish several new chunks mid-run.
+  constexpr int Writers = 3, Readers = 3, PerWriter = 3000;
+  std::vector<std::string> OldNames;
+  std::vector<Symbol> Old;
+  for (int I = 0; I < 200; ++I) {
+    OldNames.push_back("symtest.old." + std::to_string(I));
+    Old.push_back(Symbol::intern(OldNames.back()));
+  }
+
+  std::atomic<Symbol> Latest[Writers];
+  std::atomic<int> WritersLeft{Writers};
+  std::atomic<bool> ReadsOk{true};
+  std::vector<std::vector<Symbol>> Fresh(Writers);
+
+  std::vector<std::thread> Threads;
+  for (int W = 0; W < Writers; ++W)
+    Threads.emplace_back([&, W] {
+      std::string Prefix = "symtest.w" + std::to_string(W) + ".";
+      for (int I = 0; I < PerWriter; ++I) {
+        Symbol S = Symbol::intern(Prefix + std::to_string(I));
+        Fresh[W].push_back(S);
+        Latest[W].store(S, std::memory_order_release);
+      }
+      --WritersLeft;
+    });
+  for (int R = 0; R < Readers; ++R)
+    Threads.emplace_back([&, R] {
+      size_t I = R;
+      while (WritersLeft.load() > 0) {
+        size_t K = I++ % Old.size();
+        if (Old[K].str() != OldNames[K])
+          ReadsOk = false;
+        for (int W = 0; W < Writers; ++W) {
+          Symbol L = Latest[W].load(std::memory_order_acquire);
+          std::string Prefix = "symtest.w" + std::to_string(W) + ".";
+          if (L && L.str().substr(0, Prefix.size()) != Prefix)
+            ReadsOk = false;
+        }
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_TRUE(ReadsOk);
+
+  unsigned MinId = ~0u, MaxId = 0;
+  for (int W = 0; W < Writers; ++W)
+    for (int I = 0; I < PerWriter; ++I) {
+      Symbol S = Fresh[W][I];
+      EXPECT_EQ(S.str(), "symtest.w" + std::to_string(W) + "." +
+                             std::to_string(I));
+      EXPECT_EQ(Symbol::intern(S.str()), S);
+      MinId = std::min(MinId, S.id());
+      MaxId = std::max(MaxId, S.id());
+    }
+  EXPECT_LT(MinId, 7000u);
+  EXPECT_EQ(MaxId - MinId + 1, unsigned(Writers * PerWriter))
+      << "only the writers interned during the run, each id once";
+  for (size_t I = 0; I < Old.size(); ++I)
+    EXPECT_EQ(Old[I].str(), OldNames[I]);
 }
 
 TEST(ArenaTest, AllocatesAligned) {

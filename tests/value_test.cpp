@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace monsem;
 
 namespace {
@@ -39,6 +41,40 @@ TEST(ValueTest, Display) {
   std::string S = "hi";
   EXPECT_EQ(toDisplayString(Value::mkStr(&S)), "hi");
   EXPECT_EQ(toDisplayString(Value::mkPrim1(Prim1Op::Hd)), "<prim hd>");
+}
+
+TEST(ValueTest, DisplayGoldens) {
+  // Literal expectations (not std::to_string): ints are rendered with
+  // std::to_chars, which must agree byte for byte, boxed ints included.
+  Arena A;
+  EXPECT_EQ(toDisplayString(Value::mkInt(-1)), "-1");
+  EXPECT_EQ(toDisplayString(Value::mkInt(0)), "0");
+  EXPECT_EQ(toDisplayString(Value::mkInt(-140737488355328)),
+            "-140737488355328");
+  EXPECT_EQ(toDisplayString(Value::mkInt(9007199254740993, A)),
+            "9007199254740993");
+  EXPECT_EQ(toDisplayString(Value::mkInt(-140737488355329, A)),
+            "-140737488355329");
+  EXPECT_EQ(toDisplayString(Value::mkInt(INT64_MIN, A)),
+            "-9223372036854775808");
+  EXPECT_EQ(toDisplayString(Value::mkInt(INT64_MAX, A)),
+            "9223372036854775807");
+
+  Value L = Value::mkCell(A.create<Cell>(
+      Value::mkInt(-3),
+      Value::mkCell(A.create<Cell>(Value::mkInt(INT64_MIN, A),
+                                   Value::mkInt(140737488355328, A)))));
+  EXPECT_EQ(toDisplayString(L),
+            "[-3, -9223372036854775808 . 140737488355328]");
+
+  // appendDisplayString appends to what the buffer already holds.
+  std::string Out = "v=";
+  appendDisplayString(Out, Value::mkInt(INT64_MIN, A));
+  Out += ' ';
+  appendDisplayString(Out, list(A, {-1, 2}));
+  EXPECT_EQ(Out, "v=-9223372036854775808 [-1, 2]");
+  EXPECT_EQ(Out.substr(2), toDisplayString(Value::mkInt(INT64_MIN, A)) +
+                               " " + toDisplayString(list(A, {-1, 2})));
 }
 
 TEST(ValueTest, EqualityDeep) {
