@@ -53,6 +53,14 @@ const Sample Samples[] = {
      "[2, 3, 5, 7, 11, 13, 17, 19, 23, 29]"},
 };
 
+// Without this, gtest prints a Sample as the raw bytes of its two
+// pointers, and CTest bakes those (ASLR-dependent) bytes into every
+// discovered test name, so the names change from build to build.
+void PrintTo(const Sample &S, std::ostream *OS) {
+  std::string File = S.File;
+  *OS << File.substr(File.rfind('/') + 1);
+}
+
 } // namespace
 
 class SampleProgramTest : public ::testing::TestWithParam<Sample> {};
