@@ -72,22 +72,14 @@ struct Variant {
   bool Reuse = false;
 };
 
-// The Value representation is a compile-time axis (CMake option
-// MONSEM_VALUE_BOXED), orthogonal to the environment-representation
-// variants above, so the lexical+recycling cell is labeled by the Value
-// its binary was compiled with: `resolved` is the historical 16-byte
-// boxed baseline, `tagged` the 8-byte word (the default build). The
-// committed BENCH_machines.json concatenates a -DMONSEM_VALUE_BOXED=ON
-// run (seed / legacy+recycle / resolved rows) with the tagged rows of a
-// default run, so the two representations sit side by side per workload.
+// The lexical+recycling cell is labeled `tagged` after the 8-byte Value
+// word it runs on. The `resolved` rows in the committed
+// BENCH_machines.json are the same cell measured on the former 16-byte
+// boxed Value; they are frozen history (see EXPERIMENTS.md, A5).
 constexpr Variant kVariants[] = {
     {"seed", false, false},
     {"legacy+recycle", false, true},
-#ifdef MONSEM_VALUE_BOXED
-    {"resolved", true, true},
-#else
     {"tagged", true, true},
-#endif
 };
 
 struct Workload {
@@ -255,14 +247,8 @@ void reportLexical(JsonlWriter &W, bool Quick) {
   printRule();
   std::printf("seed = named env chain, no recycling; %s = lexical "
               "addresses + flat\nframes + continuation-frame free list "
-              "(compiled with the %s Value).\n\n",
-              kVariants[2].Name,
-#ifdef MONSEM_VALUE_BOXED
-              "16-byte boxed"
-#else
-              "8-byte tagged"
-#endif
-  );
+              "(8-byte tagged Value).\n\n",
+              kVariants[2].Name);
 
   // Strategies under both representations: laziness allocates thunks that
   // close over the environment, so the flat-frame representation must not
@@ -378,28 +364,23 @@ void reportTailReuse(JsonlWriter &W, bool Quick) {
   std::putchar('\n');
 }
 
-/// Bytecode VM: switch vs. token-threaded dispatch, unfused vs. fused
-/// superinstructions (+ frame reuse). Every variant must agree with the
-/// unfused switch baseline on answer AND step count — Cost accounting
-/// makes fused programs report source-machine steps — before its timing
-/// is recorded. Returns the interleaved fused-pipeline speedup on the fib
+/// Bytecode VM: unfused vs. fused superinstructions (+ frame reuse), both
+/// on the threaded dispatch loop. The fused run must agree with the
+/// unfused baseline on answer AND step count — Cost accounting makes
+/// fused programs report source-machine steps — before its timing is
+/// recorded. Returns the interleaved fused-pipeline speedup on the fib
 /// workload so CI can assert a floor on it.
 double reportVM(JsonlWriter &W, bool Quick) {
   struct VMVariant {
     const char *Name;
     bool Fuse;
-    bool Threaded;
-    bool Reuse;
   };
-  std::vector<VMVariant> Variants = {{"vm-switch", false, false, false}};
-  if (vmThreadedDispatchAvailable())
-    Variants.push_back({"vm-threaded", false, true, false});
-  Variants.push_back({"vm-fused", true, true, true});
+  const VMVariant Variants[] = {{"vm-threaded", false}, {"vm-fused", true}};
 
-  std::printf("A6b — VM dispatch & superinstruction fusion\n");
+  std::printf("A6b — VM superinstruction fusion\n");
   printRule();
-  std::printf("%-14s %12s %12s %12s %9s\n", "workload", "switch ms",
-              "threaded ms", "fused ms", "speedup");
+  std::printf("%-14s %12s %12s %9s\n", "workload", "unfused ms", "fused ms",
+              "speedup");
   printRule();
 
   double FibSpeedup = 0;
@@ -417,17 +398,15 @@ double reportVM(JsonlWriter &W, bool Quick) {
     }
 
     RunOptions RefOpts;
-    RefOpts.VMThreaded = false;
     RefOpts.ReuseTailFrames = false;
     RunResult Ref = runCompiled(*Raw, nullptr, RefOpts);
 
-    double Cells[3] = {0, 0, 0};
+    double Cells[2] = {0, 0};
     size_t Cell = 0;
     for (const VMVariant &V : Variants) {
       const CompiledProgram &Prog = V.Fuse ? *Fused : *Raw;
       RunOptions Opts;
-      Opts.VMThreaded = V.Threaded;
-      Opts.ReuseTailFrames = V.Reuse;
+      Opts.ReuseTailFrames = V.Fuse;
       RunResult R = runCompiled(Prog, nullptr, Opts);
       if (R.Ok != Ref.Ok || R.ValueText != Ref.ValueText ||
           R.Steps != Ref.Steps) {
@@ -447,9 +426,8 @@ double reportVM(JsonlWriter &W, bool Quick) {
     }
 
     // Interleaved ratio, robust against clock drift: median of
-    // (switch-baseline time / fused-pipeline time).
+    // (unfused-baseline time / fused-pipeline time).
     RunOptions FusedOpts;
-    FusedOpts.VMThreaded = true;
     FusedOpts.ReuseTailFrames = true;
     double Speedup = medianRatio(
         [&] { runCompiled(*Fused, nullptr, FusedOpts); },
@@ -458,43 +436,30 @@ double reportVM(JsonlWriter &W, bool Quick) {
       FibSpeedup = Speedup;
       First = false;
     }
-    if (Variants.size() == 3)
-      std::printf("%-14s %12.3f %12.3f %12.3f %8.2fx\n", WL.Name, Cells[0],
-                  Cells[1], Cells[2], Speedup);
-    else
-      std::printf("%-14s %12.3f %12s %12.3f %8.2fx\n", WL.Name, Cells[0],
-                  "-", Cells[1], Speedup);
+    std::printf("%-14s %12.3f %12.3f %8.2fx\n", WL.Name, Cells[0], Cells[1],
+                Speedup);
   }
   printRule();
-  std::printf("vm-switch = unfused portable switch loop; vm-threaded = "
-              "unfused computed-goto;\nvm-fused = superinstructions + "
-              "threaded dispatch + tail-call frame reuse.\nIdentical step "
-              "counts everywhere: fused instructions advance the counter "
-              "by their\nsource-step Cost.\n\n");
+  std::printf("vm-threaded = unfused; vm-fused = superinstructions + "
+              "tail-call frame reuse;\nboth on computed-goto dispatch. "
+              "Identical step counts everywhere: fused\ninstructions "
+              "advance the counter by their source-step Cost.\n\n");
   return FibSpeedup;
 }
 
 /// Register tier: the same workloads through lowerToRegisters +
-/// runRegisterProgram, switch and threaded dispatch. Lowering is 1:1 per
-/// instruction, so every register run must agree with the unfused switch
-/// baseline on answer AND step count before its timing is recorded.
+/// runRegisterProgram. Lowering is 1:1 per instruction, so every register
+/// run must agree with the unfused stack-VM baseline on answer AND step
+/// count before its timing is recorded.
 /// Returns the interleaved vm-reg / vm-fused speedups for the fib, tak,
 /// and down rows so CI can assert the tier pays for itself on at least
 /// two of them (tak's curried closures keep its blocks non-leaf, so it is
 /// allowed to sit at parity).
 std::vector<double> reportRegisterVM(JsonlWriter &W, bool Quick) {
-  struct RegVariant {
-    const char *Name;
-    bool Threaded;
-  };
-  std::vector<RegVariant> Variants = {{"vm-reg", false}};
-  if (vmThreadedDispatchAvailable())
-    Variants.push_back({"vm-reg-threaded", true});
-
   std::printf("A6c — register tier vs fused stack VM\n");
   printRule();
-  std::printf("%-14s %12s %12s %12s %9s\n", "workload", "fused ms",
-              "reg ms", "reg-thr ms", "speedup");
+  std::printf("%-14s %12s %12s %9s\n", "workload", "fused ms", "reg ms",
+              "speedup");
   printRule();
 
   std::vector<double> GateSpeedups;
@@ -516,65 +481,47 @@ std::vector<double> reportRegisterVM(JsonlWriter &W, bool Quick) {
     }
 
     RunOptions RefOpts;
-    RefOpts.VMThreaded = false;
     RefOpts.ReuseTailFrames = false;
     RunResult Ref = runCompiled(*Raw, nullptr, RefOpts);
 
-    double Cells[2] = {0, 0};
-    size_t Cell = 0;
-    for (const RegVariant &V : Variants) {
-      RunOptions Opts;
-      Opts.VMThreaded = V.Threaded;
-      Opts.ReuseTailFrames = true;
-      RunResult R = runRegisterProgram(*RP, nullptr, Opts);
-      if (R.Ok != Ref.Ok || R.ValueText != Ref.ValueText ||
-          R.Steps != Ref.Steps) {
-        std::fprintf(stderr,
-                     "FAIL: %s disagrees with the baseline on %s "
-                     "(%s/%s, %llu vs %llu steps)\n",
-                     V.Name, WL.Name, R.ValueText.c_str(),
-                     Ref.ValueText.c_str(),
-                     static_cast<unsigned long long>(R.Steps),
-                     static_cast<unsigned long long>(Ref.Steps));
-        std::exit(1);
-      }
-      double Ms = medianMs([&] { runRegisterProgram(*RP, nullptr, Opts); },
-                           Quick ? 3 : 9);
-      W.write({WL.Name, V.Name, "strict", Ms * 1e6, R.Steps, R.ArenaBytes});
-      Cells[Cell++] = Ms;
+    // The row keeps its historical `vm-reg-threaded` label; `vm-reg` rows
+    // in the committed BENCH_machines.json are the former switch loop.
+    RunOptions Opts;
+    Opts.ReuseTailFrames = true;
+    RunResult R = runRegisterProgram(*RP, nullptr, Opts);
+    if (R.Ok != Ref.Ok || R.ValueText != Ref.ValueText ||
+        R.Steps != Ref.Steps) {
+      std::fprintf(stderr,
+                   "FAIL: vm-reg disagrees with the baseline on %s "
+                   "(%s/%s, %llu vs %llu steps)\n",
+                   WL.Name, R.ValueText.c_str(), Ref.ValueText.c_str(),
+                   static_cast<unsigned long long>(R.Steps),
+                   static_cast<unsigned long long>(Ref.Steps));
+      std::exit(1);
     }
+    double RegMs = medianMs([&] { runRegisterProgram(*RP, nullptr, Opts); },
+                            Quick ? 3 : 9);
+    W.write({WL.Name, "vm-reg-threaded", "strict", RegMs * 1e6, R.Steps,
+             R.ArenaBytes});
 
-    // Interleaved ratio: median of (fused-pipeline time / register time),
-    // both under their production dispatcher.
-    RunOptions FusedOpts;
-    FusedOpts.VMThreaded = vmThreadedDispatchAvailable();
-    FusedOpts.ReuseTailFrames = true;
-    RunOptions RegOpts;
-    RegOpts.VMThreaded = vmThreadedDispatchAvailable();
-    RegOpts.ReuseTailFrames = true;
-    double FusedMs = medianMs(
-        [&] { runCompiled(*Fused, nullptr, FusedOpts); }, Quick ? 3 : 9);
+    // Interleaved ratio: median of (fused-pipeline time / register time).
+    double FusedMs = medianMs([&] { runCompiled(*Fused, nullptr, Opts); },
+                              Quick ? 3 : 9);
     double Speedup = medianRatio(
-        [&] { runRegisterProgram(*RP, nullptr, RegOpts); },
-        [&] { runCompiled(*Fused, nullptr, FusedOpts); }, Quick ? 9 : 11);
+        [&] { runRegisterProgram(*RP, nullptr, Opts); },
+        [&] { runCompiled(*Fused, nullptr, Opts); }, Quick ? 9 : 11);
     if (std::strncmp(WL.Name, "fib", 3) == 0 ||
         std::strncmp(WL.Name, "tak", 3) == 0 ||
         std::strncmp(WL.Name, "down", 4) == 0)
       GateSpeedups.push_back(Speedup);
-    if (Variants.size() == 2)
-      std::printf("%-14s %12.3f %12.3f %12.3f %8.2fx\n", WL.Name, FusedMs,
-                  Cells[0], Cells[1], Speedup);
-    else
-      std::printf("%-14s %12.3f %12.3f %12s %8.2fx\n", WL.Name, FusedMs,
-                  Cells[0], "-", Speedup);
+    std::printf("%-14s %12.3f %12.3f %8.2fx\n", WL.Name, FusedMs, RegMs,
+                Speedup);
   }
   printRule();
-  std::printf("vm-reg = register windows, switch dispatch; vm-reg-threaded "
-              "= computed-goto.\nLeaf blocks keep the parameter in r0 with "
-              "no environment node per call;\nblocks with closures or "
-              "probes keep the full chain, so monitors observe\nidentical "
-              "environments. speedup = vm-fused / vm-reg-threaded, "
-              "interleaved.\n\n");
+  std::printf("reg = register windows. Leaf blocks keep the parameter in r0 "
+              "with no\nenvironment node per call; blocks with closures or "
+              "probes keep the full\nchain, so monitors observe identical "
+              "environments. speedup = vm-fused / vm-reg,\ninterleaved.\n\n");
   return GateSpeedups;
 }
 
@@ -623,7 +570,6 @@ std::vector<double> reportAotVM(JsonlWriter &W, bool Quick) {
     }
 
     RunOptions Opts;
-    Opts.VMThreaded = vmThreadedDispatchAvailable();
     Opts.ReuseTailFrames = true;
     RunResult Ref = runRegisterProgram(*RP, nullptr, Opts);
     RunResult R = runAotProgram(*RP, *Lib, nullptr, Opts);

@@ -4,7 +4,7 @@
 /// Translates eligible RegProgram blocks to C (see AotEmit.h for the tier
 /// contract), drives the system C compiler, and caches the resulting
 /// shared objects by program fingerprint + emitter version + compiler
-/// identification + Value representation.
+/// identification.
 ///
 /// Emission rules, per instruction at the same (block, pc) as the
 /// interpreter, charging the same Cost:
@@ -96,13 +96,7 @@ const CompilerInfo &compilerInfo() {
 
 } // namespace
 
-bool monsem::aotAvailable() {
-#ifdef MONSEM_VALUE_BOXED
-  return false;
-#else
-  return !compilerInfo().Id.empty();
-#endif
-}
+bool monsem::aotAvailable() { return !compilerInfo().Id.empty(); }
 
 const std::string &monsem::aotCompilerId() { return compilerInfo().Id; }
 
@@ -633,10 +627,10 @@ monsem::aotLoad(const RegProgram &RP, const std::string &CacheDir,
       *WhyNot = std::move(Why);
     return nullptr;
   };
-#if defined(MONSEM_VALUE_BOXED) || defined(_WIN32)
+#ifdef _WIN32
   (void)RP;
   (void)CacheDir;
-  return No("the native tier requires the tagged Value representation");
+  return No("the native tier requires dlopen");
 #else
   const CompilerInfo &CI = compilerInfo();
   if (CI.Id.empty())

@@ -16,11 +16,10 @@
 ///
 /// Shared objects are cached on disk keyed by the program fingerprint
 /// (the same stack-disassembly hash checkpoints use), the emitter version,
-/// the compiler identification line, and the Value representation; a
-/// per-process registry memoizes loaded libraries so repeated runs of the
-/// same program dlopen once. When no C compiler is available (or the
-/// build uses the boxed Value representation), `aotLoad` reports why and
-/// the caller falls back to `vm-reg`.
+/// and the compiler identification line; a per-process registry memoizes
+/// loaded libraries so repeated runs of the same program dlopen once.
+/// When no C compiler is available, `aotLoad` reports why and the caller
+/// falls back to `vm-reg`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -107,9 +106,9 @@ private:
   std::string SoPath;
 };
 
-/// True when the native tier can work in this process: tagged Value build
-/// and a working C compiler (`MONSEM_AOT_CC`, else `cc` on PATH). The
-/// compiler probe runs once and is cached.
+/// True when the native tier can work in this process: a working C
+/// compiler (`MONSEM_AOT_CC`, else `cc` on PATH). The compiler probe runs
+/// once and is cached.
 bool aotAvailable();
 
 /// The compiler identification line used in cache keys ("" when

@@ -33,8 +33,6 @@
 using namespace monsem;
 using namespace monsem::regvm_impl;
 
-#ifndef MONSEM_VALUE_BOXED
-
 // The emitted C hard-codes these layouts (see kPrelude in AotEmit.cpp).
 static_assert(sizeof(Value) == 8, "native tier requires one-word Values");
 static_assert(offsetof(VMClosure, Block) == 0, "emitted CL_BLOCK offset");
@@ -199,8 +197,8 @@ private:
   }
 };
 
-/// The interpreter loop of RegVM::runSwitch with a native-entry gate at
-/// the top: when the pc is an enterable point of a compiled block and the
+/// A switch-dispatched register interpreter loop with a native-entry gate
+/// at the top: when the pc is an enterable point of a compiled block and the
 /// whole block fits under the governor's next pause, hand control to the
 /// native function. Everything the native code cannot (or must not) do
 /// comes back here.
@@ -317,15 +315,3 @@ RunResult monsem::runAotProgram(const RegProgram &RP, const AotLibrary &Lib,
   AotVM M(RP, Lib, Hooks, Opts);
   return M.run();
 }
-
-#else // MONSEM_VALUE_BOXED
-
-// The native tier is emitted against the tagged one-word Value encoding;
-// boxed builds never load a library (aotLoad refuses), so the driver just
-// degrades to the register interpreter.
-RunResult monsem::runAotProgram(const RegProgram &RP, const AotLibrary &,
-                                MonitorHooks *Hooks, RunOptions Opts) {
-  return runRegisterProgram(RP, Hooks, Opts);
-}
-
-#endif // MONSEM_VALUE_BOXED

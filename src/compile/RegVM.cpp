@@ -31,48 +31,12 @@ public:
   RunResult run();
 
 private:
-  RunResult runSwitch(Governor &Gov);
-#if MONSEM_VM_HAS_CGOTO
   RunResult runThreaded(Governor &Gov);
-#endif
 };
 
-/// Portable dispatch loop; Cost accounting and governor behavior are the
-/// stack VM's, down to checkpoint rollback of the fetched instruction.
-RunResult RegVM::runSwitch(Governor &Gov) {
-  MONSEM_REGVM_LOCAL_STATE
-  while (true) {
-    const RInstr &I = Blocks[Block].Code[PC++];
-    Steps += I.Cost;
-    this->Steps = Steps;
-    if (Steps >= Gov.nextPause()) {
-      this->Block = Block;
-      this->PC = PC;
-      this->Base = Base;
-      this->Env = Env;
-      Outcome O = Gov.pause(Steps, A.bytesAllocated(), Frames.size());
-      if (O != Outcome::Ok) {
-        if (Opts.CheckpointOnStop)
-          emitCheckpoint(I);
-        return stopResult(O);
-      }
-      if (Gov.takeCheckpointDue())
-        emitCheckpoint(I);
-    }
-    switch (I.Code) {
-#define VM_CASE(Name) case ROp::Name:
-#define VM_NEXT() break
-#include "compile/RegVMDispatch.inc"
-#undef VM_CASE
-#undef VM_NEXT
-    }
-    if (Failed)
-      return errorResult();
-  }
-}
-
-#if MONSEM_VM_HAS_CGOTO
-/// Token-threaded dispatch, mirroring the stack VM's.
+/// Token-threaded dispatch, mirroring the stack VM's; Cost accounting and
+/// governor behavior are the stack VM's, down to checkpoint rollback of the
+/// fetched instruction.
 RunResult RegVM::runThreaded(Governor &Gov) {
   static const void *Tbl[] = {
       &&L_Const,      &&L_Var,           &&L_MkClosure,
@@ -132,7 +96,6 @@ Dispatch:
 #undef VM_CASE
 #undef VM_NEXT
 }
-#endif // MONSEM_VM_HAS_CGOTO
 
 RunResult RegVM::run() {
   if (Opts.ResumeFrom) {
@@ -157,11 +120,7 @@ RunResult RegVM::run() {
     ensureRegs(RP.Blocks[0].NumRegs);
   }
   try {
-#if MONSEM_VM_HAS_CGOTO
-    if (Opts.VMThreaded)
-      return runThreaded(Gov);
-#endif
-    return runSwitch(Gov);
+    return runThreaded(Gov);
   } catch (const MonitorAbort &E) {
     fail(E.what());
   } catch (const DurabilityAbort &E) {

@@ -4,11 +4,11 @@
 /// The register-window virtual machine's state, call protocol, and
 /// checkpoint logic, shared by the two drivers built on top of it:
 ///
-///  - RegVM.cpp     — the pure interpreter (`--backend=vm-reg`), switch and
-///                    token-threaded dispatch loops;
+///  - RegVM.cpp     — the pure interpreter (`--backend=vm-reg`), a
+///                    token-threaded dispatch loop;
 ///  - AotRun.cpp    — the AOT-native trampoline (`--backend=vm-aot`), which
 ///                    runs compiled leaf blocks natively and falls back to
-///                    the same interpreter loop at deopt points.
+///                    the same opcode handlers at deopt points.
 ///
 /// Both drivers include this header and derive from `RegVMBase`, so the
 /// apply path (leaf windows, currier collapse, frame reuse), environment
@@ -29,12 +29,6 @@
 
 #include <algorithm>
 #include <deque>
-
-#if defined(MONSEM_VM_THREADED) && (defined(__GNUC__) || defined(__clang__))
-#define MONSEM_VM_HAS_CGOTO 1
-#else
-#define MONSEM_VM_HAS_CGOTO 0
-#endif
 
 namespace monsem {
 namespace regvm_impl {
@@ -279,9 +273,6 @@ protected:
     H.Strategy = static_cast<uint8_t>(Strategy::Strict);
     H.Lexical = false;
     H.Monitored = Hooks != nullptr;
-#ifdef MONSEM_VALUE_BOXED
-    H.BoxedValues = true;
-#endif
     H.ProgramFingerprint = fingerprint();
     H.SavedSteps = Steps - I.Cost;
     Serializer S = Checkpoint::begin(H);
@@ -514,14 +505,15 @@ protected:
 inline bool intPrim2Fast(Prim2Op Op, int64_t X, int64_t Y, Arena &A,
                          Value &Out) {
   switch (Op) {
+  // A constant op folds intArith's own switch away.
   case Prim2Op::Add:
-    Out = Value::mkInt(X + Y, A);
+    Out = Value::mkInt(intArith(Prim2Op::Add, X, Y), A);
     return true;
   case Prim2Op::Sub:
-    Out = Value::mkInt(X - Y, A);
+    Out = Value::mkInt(intArith(Prim2Op::Sub, X, Y), A);
     return true;
   case Prim2Op::Mul:
-    Out = Value::mkInt(X * Y, A);
+    Out = Value::mkInt(intArith(Prim2Op::Mul, X, Y), A);
     return true;
   case Prim2Op::Min:
     Out = Value::mkInt(X < Y ? X : Y, A);

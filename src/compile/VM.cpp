@@ -12,18 +12,6 @@
 
 using namespace monsem;
 
-/// Computed-goto dispatch is a GNU extension; the build opts in with
-/// -DMONSEM_VM_THREADED (default ON in CMake) and the compiler must
-/// support it. Otherwise only the portable switch loop is compiled and
-/// RunOptions::VMThreaded is ignored.
-#if defined(MONSEM_VM_THREADED) && (defined(__GNUC__) || defined(__clang__))
-#define MONSEM_VM_HAS_CGOTO 1
-#else
-#define MONSEM_VM_HAS_CGOTO 0
-#endif
-
-bool monsem::vmThreadedDispatchAvailable() { return MONSEM_VM_HAS_CGOTO; }
-
 namespace {
 
 struct CallFrame {
@@ -62,10 +50,7 @@ private:
   /// stack/heap point into it, so it lives as long as the VM.
   std::deque<std::string> RevivedStrings;
 
-  RunResult runSwitch(Governor &Gov);
-#if MONSEM_VM_HAS_CGOTO
   RunResult runThreaded(Governor &Gov);
-#endif
 
   /// Structural fingerprint of the compiled program: a hash of the
   /// disassembly, which is pointer-free (block indices, opcode names,
@@ -91,9 +76,6 @@ private:
     H.Strategy = static_cast<uint8_t>(Strategy::Strict);
     H.Lexical = false;
     H.Monitored = Hooks != nullptr;
-#ifdef MONSEM_VALUE_BOXED
-    H.BoxedValues = true;
-#endif
     H.ProgramFingerprint = fingerprint();
     H.SavedSteps = Steps - I.Cost;
     Serializer S = Checkpoint::begin(H);
@@ -347,40 +329,13 @@ private:
   }
 };
 
-/// Portable dispatch loop. `Steps` advances by the instruction's Cost (its
+/// Token-threaded dispatch (computed goto, a GNU extension GCC and Clang
+/// support): each handler jumps straight to the next opcode's handler
+/// through a label table, so the branch predictor sees one indirect branch
+/// per handler (correlated with opcode pairs) instead of a switch's single
+/// shared branch. `Steps` advances by the instruction's Cost (its
 /// source-step count), so fused programs report identical step counts to
 /// unfused ones at every instruction boundary.
-RunResult VM::runSwitch(Governor &Gov) {
-  while (true) {
-    const Instr &I = P.Blocks[Block].Code[PC++];
-    Steps += I.Cost;
-    if (Steps >= Gov.nextPause()) {
-      Outcome O = Gov.pause(Steps, A.bytesAllocated(), Frames.size());
-      if (O != Outcome::Ok) {
-        if (Opts.CheckpointOnStop)
-          emitCheckpoint(I);
-        return stopResult(O);
-      }
-      if (Gov.takeCheckpointDue())
-        emitCheckpoint(I);
-    }
-    switch (I.Code) {
-#define VM_CASE(Name) case Op::Name:
-#define VM_NEXT() break
-#include "compile/VMDispatch.inc"
-#undef VM_CASE
-#undef VM_NEXT
-    }
-    if (Failed)
-      return errorResult();
-  }
-}
-
-#if MONSEM_VM_HAS_CGOTO
-/// Token-threaded dispatch: each handler jumps straight to the next
-/// opcode's handler through a label table, so the branch predictor sees
-/// one indirect branch per handler (correlated with opcode pairs) instead
-/// of the switch loop's single shared branch.
 RunResult VM::runThreaded(Governor &Gov) {
   static const void *Tbl[] = {
       &&L_Const,      &&L_Var,           &&L_MkClosure,
@@ -421,7 +376,6 @@ Dispatch:
 #undef VM_CASE
 #undef VM_NEXT
 }
-#endif // MONSEM_VM_HAS_CGOTO
 
 RunResult VM::run() {
   if (Opts.ResumeFrom) {
@@ -446,11 +400,7 @@ RunResult VM::run() {
         0, static_cast<uint32_t>(P.Blocks[0].Code.size() - 1), nullptr});
   }
   try {
-#if MONSEM_VM_HAS_CGOTO
-    if (Opts.VMThreaded)
-      return runThreaded(Gov);
-#endif
-    return runSwitch(Gov);
+    return runThreaded(Gov);
   } catch (const MonitorAbort &E) {
     // A monitor under FaultPolicy::Abort faulted at a MonPre/MonPost probe.
     fail(E.what());
@@ -498,7 +448,7 @@ RunResult monsem::evaluateCompiled(const Cascade &C, const Expr *Program,
     RP = lowerToRegisters(*CP);
   // Native tier on top of the lowering: load (emit + compile + cache) the
   // leaf-block library; any reason it cannot be used — no C compiler,
-  // boxed Values, nothing eligible — degrades to the register interpreter
+  // nothing eligible — degrades to the register interpreter
   // with identical observable behavior.
   std::shared_ptr<const AotLibrary> AotLib;
   if (Opts.VMAot && RP)

@@ -23,8 +23,8 @@
 namespace monsem {
 
 /// Runs \p Program on the VM. \p Hooks may be null (standard semantics).
-/// Honors RunOptions::MaxSteps/Limits, Algebra, VMThreaded (token-threaded
-/// vs. switch dispatch) and ReuseTailFrames (self-tail-call env reuse);
+/// Honors RunOptions::MaxSteps/Limits, Algebra and ReuseTailFrames
+/// (self-tail-call env reuse);
 /// the strategy is always strict. Each instruction advances the step
 /// counter by its Cost (its source-step count), so fused and unfused
 /// programs report identical step counts.
@@ -39,11 +39,6 @@ RunResult runCompiled(const CompiledProgram &Program,
 RunResult runRegisterProgram(const RegProgram &RP,
                              MonitorHooks *Hooks = nullptr,
                              RunOptions Opts = {});
-
-/// True when this build supports computed-goto dispatch (GCC/Clang with
-/// MONSEM_VM_THREADED); otherwise RunOptions::VMThreaded is ignored and
-/// the portable switch loop always runs.
-bool vmThreadedDispatchAvailable();
 
 /// Convenience: compile-and-run under a cascade, mirroring
 /// evaluate(Cascade, Expr). Validates disjointness first.

@@ -102,10 +102,6 @@ struct RunOptions {
   /// machine and VM): `down 100000`-style loops run in O(1) arena bytes.
   /// Answers and step counts are unchanged; only arena accounting differs.
   bool ReuseTailFrames = true;
-  /// Use token-threaded (computed-goto) dispatch in the VM when the build
-  /// supports it (see vmThreadedDispatchAvailable()); off selects the
-  /// portable switch loop. Benchmarks compare the two.
-  bool VMThreaded = true;
   /// Run compiled programs on the register tier (lowered three-address
   /// bytecode with register-window frames) instead of the stack VM.
   /// Observable behavior — answers, step counts, probe event streams,
@@ -1028,9 +1024,6 @@ Checkpoint MachineT<Policy, Lexical>::makeCheckpoint() {
   constexpr bool HasHooks =
       requires(Policy &P, Serializer &Sec) { P.Hooks->saveMonitorSection(Sec); };
   H.Monitored = HasHooks;
-#ifdef MONSEM_VALUE_BOXED
-  H.BoxedValues = true;
-#endif
   H.ProgramFingerprint = fingerprint();
   H.SavedSteps = Steps - 1;
   Serializer S = Checkpoint::begin(H);

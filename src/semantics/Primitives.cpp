@@ -40,13 +40,14 @@ PrimResult monsem::applyPrim1(Prim1Op Op, Value V, Arena &A) {
   case Prim1Op::Neg:
     if (!V.is(ValueKind::Int))
       return typeError("-", "an integer", V);
-    return PrimResult::ok(Value::mkInt(-V.asInt(), A));
+    return PrimResult::ok(
+        Value::mkInt(intArith(Prim2Op::Sub, 0, V.asInt()), A));
   case Prim1Op::Abs:
     if (!V.is(ValueKind::Int))
       return typeError("abs", "an integer", V);
-    return PrimResult::ok(Value::mkInt(V.asInt() < 0 ? -V.asInt()
-                                                     : V.asInt(),
-                                       A));
+    return PrimResult::ok(Value::mkInt(
+        V.asInt() < 0 ? intArith(Prim2Op::Sub, 0, V.asInt()) : V.asInt(),
+        A));
   case Prim1Op::Not:
     if (!V.is(ValueKind::Bool))
       return typeError("not", "a boolean", V);
@@ -94,19 +95,14 @@ PrimResult monsem::applyPrim2(Prim2Op Op, Value L, Value R, Arena &A) {
     int64_t X = L.asInt(), Y = R.asInt();
     switch (Op) {
     case Prim2Op::Add:
-      return PrimResult::ok(Value::mkInt(X + Y, A));
     case Prim2Op::Sub:
-      return PrimResult::ok(Value::mkInt(X - Y, A));
     case Prim2Op::Mul:
-      return PrimResult::ok(Value::mkInt(X * Y, A));
+      return PrimResult::ok(Value::mkInt(intArith(Op, X, Y), A));
     case Prim2Op::Div:
-      if (Y == 0)
-        return PrimResult::err("/: division by zero");
-      return PrimResult::ok(Value::mkInt(X / Y, A));
     case Prim2Op::Mod:
       if (Y == 0)
-        return PrimResult::err("%: division by zero");
-      return PrimResult::ok(Value::mkInt(X % Y, A));
+        return PrimResult::err(std::string(Name) + ": division by zero");
+      return PrimResult::ok(Value::mkInt(intArith(Op, X, Y), A));
     case Prim2Op::Min:
       return PrimResult::ok(Value::mkInt(X < Y ? X : Y, A));
     case Prim2Op::Max:

@@ -36,6 +36,33 @@ struct PrimResult {
   }
 };
 
+/// Integer arithmetic in two's complement, the one definition every
+/// evaluator shares: Add, Sub and Mul wrap modulo 2^64 (as the vm-aot
+/// emitter's unsigned casts do), and the one quotient that overflows gives
+/// INT64_MIN / -1 = INT64_MIN and INT64_MIN % -1 = 0. Div and Mod need a
+/// nonzero \p Y; callers report division by zero themselves. Negation is
+/// `intArith(Prim2Op::Sub, 0, X)`.
+inline int64_t intArith(Prim2Op Op, int64_t X, int64_t Y) {
+  uint64_t UX = static_cast<uint64_t>(X), UY = static_cast<uint64_t>(Y);
+  switch (Op) {
+  case Prim2Op::Add:
+    return static_cast<int64_t>(UX + UY);
+  case Prim2Op::Sub:
+    return static_cast<int64_t>(UX - UY);
+  case Prim2Op::Mul:
+    return static_cast<int64_t>(UX * UY);
+  case Prim2Op::Div:
+    assert(Y != 0 && "intArith: division by zero");
+    return Y == -1 ? static_cast<int64_t>(0 - UX) : X / Y;
+  case Prim2Op::Mod:
+    assert(Y != 0 && "intArith: division by zero");
+    return Y == -1 ? 0 : X % Y;
+  default:
+    assert(false && "intArith: not an arithmetic primitive");
+    return 0;
+  }
+}
+
 /// Applies a unary primitive. \p A allocates cons cells if needed.
 PrimResult applyPrim1(Prim1Op Op, Value V, Arena &A);
 

@@ -42,10 +42,7 @@
 /// can never observe it (they receive Values, not bits). The flat
 /// environment frame header is packed the same way (parent pointer plus
 /// shape id in one word — see EnvFrame), and closures carry two words (the
-/// defining LamExpr and the captured environment). Configuring with
-/// -DMONSEM_VALUE_BOXED=ON restores the legacy representations — two-word
-/// tagged Value struct, two-pointer frame header — for differential
-/// testing; the accessor API is identical in both builds.
+/// defining LamExpr and the captured environment).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -127,8 +124,6 @@ enum class ValueKind : uint8_t {
   Thunk,
   CompiledClosure, ///< Bytecode closure (compile/VM.h).
 };
-
-#ifndef MONSEM_VALUE_BOXED
 
 class Value {
 public:
@@ -337,145 +332,6 @@ private:
 static_assert(sizeof(Value) == 8,
               "the tagged Value must be a single machine word");
 
-#else // MONSEM_VALUE_BOXED
-
-/// The legacy two-word representation (ValueKind byte + 8-byte union,
-/// padded to 16 bytes), kept buildable behind -DMONSEM_VALUE_BOXED=ON for
-/// differential testing against the tagged word above. Same accessor API.
-class Value {
-public:
-  Value() : K(ValueKind::Unit) { P.Int = 0; }
-
-  static Value mkUnit() { return Value(); }
-  static Value mkInt(int64_t V) {
-    Value R(ValueKind::Int);
-    R.P.Int = V;
-    return R;
-  }
-  /// Arena overload for API parity with the tagged build; the boxed
-  /// representation holds any int64 inline, so the arena is unused.
-  static Value mkInt(int64_t V, Arena &) { return mkInt(V); }
-  static Value mkBool(bool V) {
-    Value R(ValueKind::Bool);
-    R.P.B = V;
-    return R;
-  }
-  static Value mkStr(const std::string *S) {
-    Value R(ValueKind::Str);
-    R.P.S = S;
-    return R;
-  }
-  static Value mkNil() { return Value(ValueKind::Nil); }
-  static Value mkCell(Cell *C) {
-    Value R(ValueKind::Cell);
-    R.P.C = C;
-    return R;
-  }
-  static Value mkClosure(Closure *C) {
-    Value R(ValueKind::Closure);
-    R.P.Cl = C;
-    return R;
-  }
-  static Value mkPrim1(Prim1Op Op) {
-    Value R(ValueKind::Prim1);
-    R.P.Op = static_cast<uint8_t>(Op);
-    return R;
-  }
-  static Value mkPrim2(Prim2Op Op) {
-    Value R(ValueKind::Prim2);
-    R.P.Op = static_cast<uint8_t>(Op);
-    return R;
-  }
-  static Value mkPrim2Partial(PrimPartial *PP) {
-    Value R(ValueKind::Prim2Partial);
-    R.P.PP = PP;
-    return R;
-  }
-  static Value mkThunk(Thunk *T) {
-    Value R(ValueKind::Thunk);
-    R.P.T = T;
-    return R;
-  }
-  static Value mkCompiledClosure(VMClosure *C) {
-    Value R(ValueKind::CompiledClosure);
-    R.P.VC = C;
-    return R;
-  }
-
-  ValueKind kind() const { return K; }
-  bool is(ValueKind Kind) const { return K == Kind; }
-  bool isUnit() const { return K == ValueKind::Unit; }
-
-  /// Everything fits the boxed union; mirrors the tagged predicate so
-  /// representation-sensitive tests compile in both builds.
-  static constexpr bool fitsInline(int64_t) { return true; }
-
-  int64_t asInt() const {
-    assert(K == ValueKind::Int);
-    return P.Int;
-  }
-  bool asBool() const {
-    assert(K == ValueKind::Bool);
-    return P.B;
-  }
-  const std::string &asStr() const {
-    assert(K == ValueKind::Str);
-    return *P.S;
-  }
-  Cell *asCell() const {
-    assert(K == ValueKind::Cell);
-    return P.C;
-  }
-  Closure *asClosure() const {
-    assert(K == ValueKind::Closure);
-    return P.Cl;
-  }
-  Prim1Op asPrim1() const {
-    assert(K == ValueKind::Prim1);
-    return static_cast<Prim1Op>(P.Op);
-  }
-  Prim2Op asPrim2() const {
-    assert(K == ValueKind::Prim2);
-    return static_cast<Prim2Op>(P.Op);
-  }
-  PrimPartial *asPrim2Partial() const {
-    assert(K == ValueKind::Prim2Partial);
-    return P.PP;
-  }
-  Thunk *asThunk() const {
-    assert(K == ValueKind::Thunk);
-    return P.T;
-  }
-  VMClosure *asCompiledClosure() const {
-    assert(K == ValueKind::CompiledClosure);
-    return P.VC;
-  }
-
-  /// True for closures and (partial) primitives — the paper's Fun domain.
-  bool isFunction() const {
-    return K == ValueKind::Closure || K == ValueKind::Prim1 ||
-           K == ValueKind::Prim2 || K == ValueKind::Prim2Partial ||
-           K == ValueKind::CompiledClosure;
-  }
-
-private:
-  explicit Value(ValueKind K) : K(K) { P.Int = 0; }
-
-  ValueKind K;
-  union {
-    int64_t Int;
-    bool B;
-    const std::string *S;
-    Cell *C;
-    Closure *Cl;
-    Thunk *T;
-    PrimPartial *PP;
-    VMClosure *VC;
-    uint8_t Op;
-  } P;
-};
-
-#endif // MONSEM_VALUE_BOXED
 
 struct Cell {
   Value Head;
@@ -494,7 +350,6 @@ struct EnvNode {
 };
 
 struct EnvFrame {
-#ifndef MONSEM_VALUE_BOXED
   /// Packed header, one word: the parent pointer in the low 47 bits
   /// (x86-64/AArch64 user addresses; asserted on construction) and the
   /// frame shape's per-resolution id in the high 17. The hot path — the
@@ -510,14 +365,6 @@ struct EnvFrame {
     return reinterpret_cast<EnvFrame *>(Bits & kParentMask);
   }
   uint32_t shapeId() const { return static_cast<uint32_t>(Bits >> 47); }
-#else
-  const FrameShape *Shape;
-  EnvFrame *Parent;
-
-  EnvFrame(const FrameShape *Shape, EnvFrame *Parent)
-      : Shape(Shape), Parent(Parent) {}
-  EnvFrame *parent() const { return Parent; }
-#endif
 
   Value *slots() { return reinterpret_cast<Value *>(this + 1); }
   const Value *slots() const {
@@ -525,30 +372,22 @@ struct EnvFrame {
   }
 };
 
-#ifndef MONSEM_VALUE_BOXED
 inline EnvFrame::EnvFrame(const FrameShape *Shape, EnvFrame *Parent) {
   uintptr_t P = reinterpret_cast<uintptr_t>(Parent);
   assert((P & ~kParentMask) == 0 && "parent pointer exceeds 47 bits");
   assert(Shape->Id < (uint32_t(1) << 17) && "frame shape id exceeds 17 bits");
   Bits = (uint64_t(Shape->Id) << 47) | P;
 }
-#endif
 
 /// A shape-id decode table: entry i is the FrameShape with Id == i. The
 /// Resolution that resolved the running program owns it (entry 0 is always
 /// the shared primitives-frame shape); named-chain paths pass nullptr.
 using FrameShapeTable = const FrameShape *const *;
 
-/// The shape of \p F. The tagged build stores only the shape id in the
-/// frame header; the boxed build keeps the direct pointer and ignores
-/// \p Table.
+/// The shape of \p F: the frame header stores only the shape id, which
+/// \p T decodes.
 inline const FrameShape *frameShape(const EnvFrame *F, FrameShapeTable T) {
-#ifndef MONSEM_VALUE_BOXED
   return T[F->shapeId()];
-#else
-  (void)T;
-  return F->Shape;
-#endif
 }
 static_assert(alignof(EnvFrame) % alignof(Value) == 0 &&
                   sizeof(EnvFrame) % alignof(Value) == 0,

@@ -96,8 +96,8 @@ void ValueGraphWriter::encodeValue(Serializer &S, Value V) {
     return;
   case ValueKind::Int:
     // Always the full 64-bit integer: the reader re-picks inline vs boxed
-    // for its own build, which is what makes checkpoints portable between
-    // tagged and MONSEM_VALUE_BOXED binaries.
+    // int64 (Value::mkInt(V, Arena)), so the encoding never leaks into
+    // the file.
     S.writeU8(ValInt);
     S.writeI64(V.asInt());
     return;

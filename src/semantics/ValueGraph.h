@@ -22,10 +22,10 @@
 ///    function of the tree, so ids agree across processes).
 ///
 ///  - **Representation independence.** Integers are always written as
-///    64-bit values and re-encoded on load (`Value::mkInt(V, Arena)`), so a
-///    checkpoint taken by a tagged-Value build resumes under
-///    MONSEM_VALUE_BOXED and vice versa. Strings are written by content and
-///    revived into reader-owned storage.
+///    64-bit values and re-encoded on load (`Value::mkInt(V, Arena)`), so
+///    whether an int was inline or an arena int64 never reaches the file.
+///    Strings are written by content and revived into reader-owned
+///    storage.
 ///
 //===----------------------------------------------------------------------===//
 

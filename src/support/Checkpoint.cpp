@@ -40,8 +40,10 @@ void writeHeader(Serializer &S, const CheckpointHeader &H) {
   S.writeU8(H.Strategy);
   S.writeBool(H.Lexical);
   S.writeBool(H.Monitored);
-  S.writeBool(H.BoxedValues);
-  S.writeU8(0); // reserved
+  // Reserved. Byte 12 once recorded the writer's Value representation;
+  // readers ignore it, so files from any earlier build still load.
+  S.writeU8(0);
+  S.writeU8(0);
   S.writeU8(0);
   S.writeU8(0);
   S.writeU64(H.ProgramFingerprint);
@@ -75,7 +77,7 @@ bool parseHeader(const std::vector<uint8_t> &Bytes, CheckpointHeader &H,
   H.Strategy = D.readU8();
   H.Lexical = D.readBool();
   H.Monitored = D.readBool();
-  H.BoxedValues = D.readBool();
+  D.readU8(); // reserved
   D.readU8();
   D.readU8();
   D.readU8();

@@ -6,9 +6,8 @@
 /// checksummed container a paused run is saved into.
 ///
 /// The wire format is deliberately representation-independent: integers are
-/// always written as 64-bit two's complement, so a checkpoint written by a
-/// tagged-Value build resumes under MONSEM_VALUE_BOXED and vice versa. The
-/// layer above (semantics/ValueGraph.h, the machines) decides *what* to
+/// always written as 64-bit two's complement, whatever their in-memory
+/// encoding. The layer above (semantics/ValueGraph.h, the machines) decides *what* to
 /// write; this layer only guarantees framing, versioning and integrity:
 ///
 ///   [magic "MSCK"] [u32 version] [header] [payload ...] [u64 FNV-1a]
@@ -154,14 +153,13 @@ private:
 enum class CheckpointBackend : uint8_t { CEK = 0, VM = 1 };
 
 /// Fixed-size header written after the magic/version. Fields describing the
-/// run configuration are validated on resume; `BoxedValues` is recorded for
-/// diagnostics only (the payload encoding is representation-independent).
+/// run configuration are validated on resume. The four bytes after
+/// `Monitored` are reserved: written as 0, ignored on read.
 struct CheckpointHeader {
   CheckpointBackend Backend = CheckpointBackend::CEK;
   uint8_t Strategy = 0; ///< monsem::Strategy as a raw byte.
   bool Lexical = false; ///< CEK only: flat-frame vs named-chain envs.
   bool Monitored = false;
-  bool BoxedValues = false; ///< Writer's Value representation (informational).
   /// Structural fingerprint of the program (AST for the CEK machine,
   /// disassembly for the VM); resume refuses a mismatched program.
   uint64_t ProgramFingerprint = 0;

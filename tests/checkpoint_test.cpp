@@ -341,6 +341,37 @@ TEST(CheckpointReject, TruncatedBytesRejected) {
   EXPECT_FALSE(Bad.valid());
 }
 
+TEST(CheckpointCompat, ReservedHeaderByteIsIgnored) {
+  // Header byte 12 once recorded whether the writer used the boxed Value
+  // representation. It is reserved now: written as 0, ignored on read, so
+  // a checkpoint with it set (as older boxed builds wrote them) resumes to
+  // the same answer and step count as one without.
+  constexpr size_t kReservedByte = 12;
+  for (BackendTag B : {kCEK, kVM, kVMReg}) {
+    Checkpoint CK = interruptedCheckpoint(EvalMode(B), kLoopSrc);
+    std::vector<uint8_t> Bytes = CK.bytes();
+    ASSERT_GT(Bytes.size(), kReservedByte + 8);
+    EXPECT_EQ(Bytes[kReservedByte], 0);
+    Bytes[kReservedByte] = 1;
+    // Re-seal: the trailer is the FNV-1a hash of every preceding byte.
+    size_t Body = Bytes.size() - 8;
+    uint64_t Hash = fnv1aHash(Bytes.data(), Body);
+    for (int I = 0; I < 8; ++I)
+      Bytes[Body + I] = static_cast<uint8_t>(Hash >> (8 * I));
+    std::string Err;
+    Checkpoint Patched = Checkpoint::fromBytes(std::move(Bytes), Err);
+    ASSERT_TRUE(Patched.valid()) << Err;
+
+    auto P = parseOk(kLoopSrc);
+    RunResult Plain = evaluate(EvalMode(B) & resumeFrom(CK), P->root());
+    RunResult Old = evaluate(EvalMode(B) & resumeFrom(Patched), P->root());
+    ASSERT_EQ(Plain.St, Outcome::Ok) << Plain.Error;
+    EXPECT_EQ(Old.St, Outcome::Ok) << Old.Error;
+    EXPECT_EQ(Old.ValueText, Plain.ValueText);
+    EXPECT_EQ(Old.Steps, Plain.Steps);
+  }
+}
+
 TEST(CheckpointFile, SaveLoadRoundTrip) {
   Checkpoint CK = interruptedCheckpoint(EvalMode(), kLoopSrc);
   std::string Path = ::testing::TempDir() + "monsem_ck_roundtrip.bin";

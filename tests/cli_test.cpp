@@ -102,7 +102,7 @@ TEST(CliTest, RegisterBackendAgreesWithInterpreter) {
 
 TEST(CliTest, RegisterBackendRunsMonitors) {
   // Probe events must be identical across bytecode tiers, so the profile
-  // line is byte-for-byte what --vm (and the CEK machine) prints.
+  // line is byte-for-byte what the stack VM (and the CEK machine) prints.
   CliResult VM = runCli(sample("fac.lam") + " --backend=vm --profile");
   CliResult Reg = runCli(sample("fac.lam") + " --backend=vm-reg --profile");
   EXPECT_EQ(VM.ExitCode, 0) << VM.Output;
@@ -200,21 +200,17 @@ TEST(CliTest, VmHonorsGovernorFlags) {
   // fuel limit must bite on the VM exactly as it does on the CEK machine.
   CliResult R = runShell(
       std::string("printf 'letrec loop = lambda x. loop x in loop 1' | ") +
-      MONSEM_CLI_PATH + " - --vm --max-steps=100");
+      MONSEM_CLI_PATH + " - --backend=vm --max-steps=100");
   EXPECT_NE(R.ExitCode, 0);
   EXPECT_NE(R.Output.find("fuel-exhausted"), std::string::npos) << R.Output;
 }
 
-TEST(CliTest, VmFlagWarnsDeprecated) {
-  // --vm still works but steers users to the --backend spelling; the
-  // warning goes to stderr and must not change the exit code or value.
+TEST(CliTest, VmFlagIsUnknown) {
+  // The old --vm shorthand is gone; --backend=vm is the only spelling, and
+  // --vm is rejected like any other unknown option.
   CliResult Old = runCli(sample("church.lam") + " --vm");
-  EXPECT_EQ(Old.ExitCode, 0) << Old.Output;
-  EXPECT_NE(Old.Output.find("warning: --vm is deprecated; use --backend=vm"),
-            std::string::npos)
-      << Old.Output;
-  CliResult New = runCli(sample("church.lam") + " --backend=vm");
-  EXPECT_EQ(New.Output.find("deprecated"), std::string::npos) << New.Output;
+  EXPECT_EQ(Old.ExitCode, 2) << Old.Output;
+  EXPECT_NE(Old.Output.find("usage:"), std::string::npos) << Old.Output;
 }
 
 TEST(CliTest, ParseErrorsExitNonzero) {

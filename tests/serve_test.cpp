@@ -618,6 +618,29 @@ TEST(ServeProtocol, StatusCarriesTenantRowsAndResidentGauge) {
   EXPECT_TRUE(SawRow) << ::testing::PrintToString(T2.Lines);
 }
 
+TEST(ServeProtocol, IntOverflowRunDoesNotStrandLaterSubmits) {
+  // INT64_MIN / -1 once raised SIGFPE and took the daemon down, so runs
+  // queued behind it never got an outcome. Both must answer now.
+  Transcript T = serveStdin(
+      "{\"op\":\"submit\",\"id\":\"ovf\",\"program\":\"(0 - "
+      "9223372036854775807 - 1) / (0 - 1)\",\"tenant\":\"alice\"}\n"
+      "{\"op\":\"submit\",\"id\":\"later\",\"program\":\"" +
+          facProgram(6) + "\",\"tenant\":\"bob\"}\n",
+      "--workers=1");
+  EXPECT_EQ(T.ExitCode, 0);
+  bool SawOverflow = false, SawLater = false;
+  for (const std::string &L : T.Lines) {
+    if (!lineHas(L, "\"event\":\"outcome\""))
+      continue;
+    SawOverflow |= lineHas(L, "\"id\":\"ovf\"") &&
+                   lineHas(L, "\"value\":\"-9223372036854775808\"");
+    SawLater |= lineHas(L, "\"id\":\"later\"") &&
+                lineHas(L, "\"value\":\"720\"");
+  }
+  EXPECT_TRUE(SawOverflow) << ::testing::PrintToString(T.Lines);
+  EXPECT_TRUE(SawLater) << ::testing::PrintToString(T.Lines);
+}
+
 TEST(ServeProtocol, BadTenantIsRejected) {
   Transcript T = serveStdin(
       "{\"op\":\"submit\",\"id\":\"r1\",\"program\":\"1\",\"tenant\":"

@@ -1,17 +1,17 @@
 //===- tests/value_repr_test.cpp - Value representation differentials ------===//
 //
-// Differential coverage for the 8-byte tagged Value against the legacy
-// 16-byte boxed struct (-DMONSEM_VALUE_BOXED=ON). The representation is a
-// compile-time choice, so a single binary cannot hold both; instead every
-// assertion here is representation-independent — hard-coded int-boundary
-// goldens plus cross-evaluator / cross-strategy / cross-env-rep agreement
-// on the random corpus — and CI runs the suite in both configurations.
-// The same goldens passing in both builds is what establishes
-// tagged == boxed on (Answer, Outcome, Steps) and monitor final states.
+// Coverage for the 8-byte tagged Value: its size and encoding invariants,
+// hard-coded int goldens that cross the inline/boxed-int64 boundary and the
+// edges of two's-complement arithmetic at run time, and cross-evaluator /
+// cross-strategy / cross-env-rep agreement on the random corpus. The
+// goldens hold on every evaluator, so no backend can encode, decode or
+// compute an integer differently from the others.
 //
 //===----------------------------------------------------------------------===//
 
 #include "compile/VM.h"
+#include "imp/ImpMachine.h"
+#include "imp/ImpParser.h"
 #include "interp/Direct.h"
 #include "interp/Eval.h"
 #include "monitors/Profiler.h"
@@ -60,17 +60,13 @@ const Expr *parseInto(ParsedProgram &P, std::string_view Src) {
 //===----------------------------------------------------------------------===//
 
 TEST(ValueReprTest, SizeMatchesConfiguration) {
-#ifndef MONSEM_VALUE_BOXED
-  // The tentpole: a Value is one machine word, and everything built from
-  // Values halves with it. The flat-frame header packs parent + shape id
-  // into one word, and a closure is two words (lambda + environment).
+  // A Value is one machine word, and everything built from Values is
+  // sized in words. The flat-frame header packs parent + shape id into one
+  // word, and a closure is two words (lambda + environment).
   EXPECT_EQ(sizeof(Value), 8u);
   EXPECT_EQ(sizeof(Cell), 16u);
   EXPECT_EQ(sizeof(EnvFrame), 8u);
   EXPECT_EQ(sizeof(Closure), 16u);
-#else
-  EXPECT_EQ(sizeof(Value), 16u);
-#endif
   // The Unit-placeholder convention allocFrame asserts: a default Value is
   // Unit and the tag predicate sees it.
   EXPECT_TRUE(Value().isUnit());
@@ -85,12 +81,10 @@ TEST(ValueReprTest, InlineRangePredicate) {
   EXPECT_TRUE(Value::fitsInline(-1));
   EXPECT_TRUE(Value::fitsInline(kInlineMax));
   EXPECT_TRUE(Value::fitsInline(kInlineMin));
-#ifndef MONSEM_VALUE_BOXED
   EXPECT_FALSE(Value::fitsInline(kInlineMax + 1));
   EXPECT_FALSE(Value::fitsInline(kInlineMin - 1));
   EXPECT_FALSE(Value::fitsInline(INT64_MAX));
   EXPECT_FALSE(Value::fitsInline(INT64_MIN));
-#endif
 }
 
 TEST(ValueReprTest, IntBoundariesRoundTrip) {
@@ -153,7 +147,10 @@ struct Golden {
 
 // pow2 computes out of the 48-bit inline range by repeated Mul; the other
 // programs force unboxing (Div, comparison, equality, Abs/Neg, lists of
-// boxed ints) so a representation bug cannot hide behind rendering.
+// boxed ints) so a representation bug cannot hide behind rendering. The
+// last group pins integer overflow to two's complement: + - * and negation
+// wrap, INT64_MIN / -1 = INT64_MIN and INT64_MIN % -1 = 0 (these used to
+// raise SIGFPE on every backend).
 const Golden kBoundaryGoldens[] = {
     {"letrec pow2 = lambda n. if n < 1 then 1 else 2 * pow2 (n - 1) in "
      "pow2 62",
@@ -179,6 +176,13 @@ const Golden kBoundaryGoldens[] = {
     {"letrec pow2 = lambda n. if n < 1 then 1 else 2 * pow2 (n - 1) in "
      "pow2 55 % (pow2 20 + 7)",
      "557049"},
+    {"(0 - 9223372036854775807 - 1) / (0 - 1)", "-9223372036854775808"},
+    {"(0 - 9223372036854775807 - 1) % (0 - 1)", "0"},
+    {"9223372036854775807 + 1", "-9223372036854775808"},
+    {"0 - (0 - 9223372036854775807 - 1)", "-9223372036854775808"},
+    {"4611686018427387904 * 2", "-9223372036854775808"},
+    {"- (0 - 9223372036854775807 - 1)", "-9223372036854775808"},
+    {"abs (0 - 9223372036854775807 - 1)", "-9223372036854775808"},
 };
 
 } // namespace
@@ -198,9 +202,13 @@ TEST(ValueReprTest, BoundaryGoldensAgreeOnEveryBackend) {
             << (Lexical ? ", lexical)" : ", named)");
       }
     }
-    RunResult VM = evaluate(EvalMode(kVM) & maxSteps(Fuel), E);
-    ASSERT_TRUE(VM.Ok) << G.Src << ": " << VM.Error;
-    EXPECT_EQ(VM.ValueText, G.Expect) << G.Src << " (VM)";
+    // vm-aot degrades to vm-reg where no C compiler is available.
+    for (BackendTag B : {kVM, kVMReg, kVMAot}) {
+      RunResult VM = evaluate(EvalMode(B) & maxSteps(Fuel), E);
+      ASSERT_TRUE(VM.Ok) << G.Src << ": " << VM.Error;
+      EXPECT_EQ(VM.ValueText, G.Expect)
+          << G.Src << " (backend " << static_cast<int>(B.B) << ")";
+    }
 
     RunResult Direct = evaluate(EvalMode(kDirect) & maxSteps(Fuel), E);
     ASSERT_TRUE(Direct.Ok) << G.Src << ": " << Direct.Error;
@@ -208,10 +216,25 @@ TEST(ValueReprTest, BoundaryGoldensAgreeOnEveryBackend) {
   }
 }
 
+TEST(ValueReprTest, ImperativeModuleWrapsIntegerOverflow) {
+  // The imperative module evaluates expressions through the same
+  // primitives, so it inherits the same two's-complement edges.
+  ImpContext Ctx;
+  DiagnosticSink Diags;
+  const Cmd *C = parseImpProgram(
+      Ctx,
+      "m := 0 - 9223372036854775807 - 1; print m / (0 - 1); "
+      "print m % (0 - 1); print m - 1",
+      Diags);
+  ASSERT_NE(C, nullptr) << Diags.str();
+  ImpRunResult R = runImp(C);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Output, (std::vector<std::string>{"-9223372036854775808", "0",
+                                                "9223372036854775807"}));
+}
+
 //===----------------------------------------------------------------------===//
-// Random corpus: every evaluator, env rep, and strategy agrees within the
-// build; running the identical corpus in both configurations (CI matrix)
-// closes the tagged-vs-boxed differential.
+// Random corpus: every evaluator, env rep, and strategy agrees.
 //===----------------------------------------------------------------------===//
 
 class ValueReprCorpus : public ::testing::TestWithParam<unsigned> {};
@@ -253,7 +276,7 @@ TEST_P(ValueReprCorpus, MonitoredStatesAgreeAcrossEvaluators) {
 
   // CountingProfiler claims the corpus' bare A/B labels; the final state
   // renders deterministically, so it must be bit-identical across every
-  // configuration (and, via the CI matrix, across representations).
+  // configuration.
   auto stateOf = [](const RunResult &R) -> std::string {
     return R.FinalStates.empty() ? std::string() : R.FinalStates[0]->str();
   };

@@ -169,16 +169,12 @@ TEST(VMFusionTest, JumpTargetBlocksFusion) {
     EXPECT_EQ(countSubstr(Dis, "constprim2"), 1u) << Dis;
     EXPECT_EQ(countSubstr(Dis, "prim2 +"), 1u) << Dis;
 
-    for (bool Threaded : {false, true}) {
-      RunOptions Opts;
-      Opts.VMThreaded = Threaded;
-      RunResult RRaw = runCompiled(*Raw, nullptr, Opts);
-      RunResult RFused = runCompiled(*Fused, nullptr, Opts);
-      ASSERT_TRUE(RRaw.Ok && RFused.Ok) << RRaw.Error << RFused.Error;
-      EXPECT_EQ(RRaw.IntValue, Cond ? 11 : 22);
-      EXPECT_EQ(RFused.IntValue, RRaw.IntValue);
-      EXPECT_EQ(RFused.Steps, RRaw.Steps);
-    }
+    RunResult RRaw = runCompiled(*Raw);
+    RunResult RFused = runCompiled(*Fused);
+    ASSERT_TRUE(RRaw.Ok && RFused.Ok) << RRaw.Error << RFused.Error;
+    EXPECT_EQ(RRaw.IntValue, Cond ? 11 : 22);
+    EXPECT_EQ(RFused.IntValue, RRaw.IntValue);
+    EXPECT_EQ(RFused.Steps, RRaw.Steps);
   }
 }
 
@@ -215,7 +211,7 @@ TEST(VMFusionTest, ProbesBlockFusionWindows) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential corpus: fused and unfused VM (both dispatchers) vs. the CEK
+// Differential corpus: fused and unfused VM vs. the CEK
 // machine over generated programs, unmonitored and monitored.
 //===----------------------------------------------------------------------===//
 
@@ -231,19 +227,13 @@ TEST_P(VMFusionDifferentialTest, FusedAgreesWithMachineAndUnfused) {
 
   RunResult Base = runVM(Empty, Prog, Opts, /*Fuse=*/false);
   EXPECT_TRUE(Interp.sameOutcome(Base)) << printExpr(Prog);
-  for (bool Fuse : {false, true}) {
-    for (bool Threaded : {false, true}) {
-      RunOptions O = Opts;
-      O.VMThreaded = Threaded;
-      RunResult R = runVM(Empty, Prog, O, Fuse);
-      EXPECT_TRUE(Base.sameOutcome(R))
-          << printExpr(Prog) << "\nfuse=" << Fuse << " threaded=" << Threaded
-          << "\nbase: " << (Base.Ok ? Base.ValueText : Base.Error)
-          << "\nvariant: " << (R.Ok ? R.ValueText : R.Error);
-      if (Base.Ok && R.Ok) {
-        EXPECT_EQ(Base.Steps, R.Steps) << printExpr(Prog);
-      }
-    }
+  RunResult R = runVM(Empty, Prog, Opts, /*Fuse=*/true);
+  EXPECT_TRUE(Base.sameOutcome(R))
+      << printExpr(Prog)
+      << "\nunfused: " << (Base.Ok ? Base.ValueText : Base.Error)
+      << "\nfused:   " << (R.Ok ? R.ValueText : R.Error);
+  if (Base.Ok && R.Ok) {
+    EXPECT_EQ(Base.Steps, R.Steps) << printExpr(Prog);
   }
 }
 

@@ -346,7 +346,7 @@ TEST(RegisterLoweringTest, LazyStrategyIsRejected) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential corpus: register tier (both dispatchers) vs. fused stack VM
+// Differential corpus: register tier vs. fused stack VM
 // vs. the CEK machine over generated programs.
 //===----------------------------------------------------------------------===//
 
@@ -363,22 +363,15 @@ TEST_P(VMRegisterDifferentialTest, RegisterAgreesWithStackAndMachine) {
 
   RunResult Base = runTier(Tier::Fused, Empty, Prog, Opts);
   EXPECT_TRUE(Interp.sameOutcome(Base)) << printExpr(Prog);
-  RunResult Reg;
-  for (bool Threaded : {false, true}) {
-    RunOptions O = Opts;
-    O.VMThreaded = Threaded;
-    RunResult R = runTier(Tier::Reg, Empty, Prog, O);
-    EXPECT_TRUE(Base.sameOutcome(R))
-        << printExpr(Prog) << "\nthreaded=" << Threaded
-        << "\nstack: " << (Base.Ok ? Base.ValueText : Base.Error)
-        << "\nreg:   " << (R.Ok ? R.ValueText : R.Error);
-    if (Base.Ok && R.Ok) {
-      EXPECT_EQ(Base.Steps, R.Steps) << printExpr(Prog);
-      // Leaf elision only removes allocations; it never adds any.
-      EXPECT_LE(R.ArenaBytes, Base.ArenaBytes) << printExpr(Prog);
-    }
-    if (!Threaded)
-      Reg = std::move(R);
+  RunResult Reg = runTier(Tier::Reg, Empty, Prog, Opts);
+  EXPECT_TRUE(Base.sameOutcome(Reg))
+      << printExpr(Prog)
+      << "\nstack: " << (Base.Ok ? Base.ValueText : Base.Error)
+      << "\nreg:   " << (Reg.Ok ? Reg.ValueText : Reg.Error);
+  if (Base.Ok && Reg.Ok) {
+    EXPECT_EQ(Base.Steps, Reg.Steps) << printExpr(Prog);
+    // Leaf elision only removes allocations; it never adds any.
+    EXPECT_LE(Reg.ArenaBytes, Base.ArenaBytes) << printExpr(Prog);
   }
   // The native AOT tier runs the same register program, so it must match
   // the register interpreter exactly — answer, step count, and even the

@@ -146,15 +146,7 @@ struct Options {
 /// whether it has it, shown in --help and after an unknown-backend error
 /// so the valid set is never a guessing game.
 std::string backendAvailability() {
-  std::string S = "cek, vm, vm-reg, direct: always available; ";
-  S += "threaded dispatch ";
-  S += vmThreadedDispatchAvailable() ? "available" : "unavailable";
-#ifdef MONSEM_VALUE_BOXED
-  S += "; boxed values";
-#else
-  S += "; tagged values";
-#endif
-  S += "; vm-aot ";
+  std::string S = "cek, vm, vm-reg, direct: always available; vm-aot ";
   S += aotAvailable() ? "available (" + aotCompilerId() + ")"
                       : "unavailable (no C compiler; degrades to vm-reg)";
   return S;
@@ -186,7 +178,6 @@ int usage(const char *Argv0) {
       << "                       this build: " << backendAvailability() << "\n"
       << "    --aot-cache=DIR    vm-aot shared-object cache directory\n"
       << "                       (default: per-user under TMPDIR)\n"
-      << "    --vm               shorthand for --backend=vm\n"
       << "    --pe               partially evaluate, then run the residual\n"
       << "    --print-ast        show the (annotated) program\n"
       << "    --print-residual   with --pe: show the residual program\n"
@@ -322,9 +313,6 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
       O.Debug = true;
     } else if (A == "--prelude") {
       O.Prelude = true;
-    } else if (A == "--vm") {
-      std::cerr << "warning: --vm is deprecated; use --backend=vm\n";
-      O.B = Backend::VM;
     } else if (auto V = Value("--workers=")) {
       O.Workers = static_cast<unsigned>(std::stoul(*V));
     } else if (auto V = Value("--quantum-steps=")) {
