@@ -6,31 +6,20 @@
 // VM (the compiled residual). Also: the three evaluation strategies
 // ("language modules") on the CEK machine.
 //
-// Ablation A5: level-2 specialization of the CEK machine. Each workload
-// runs under three configurations —
-//
-//   seed             named environment chain, no frame recycling (the
-//                    machine as originally shipped; the baseline)
-//   legacy+recycle   named chain + continuation-frame free list
-//   resolved         lexical addresses, flat frames, free list (default)
-//
-// and the monitored workloads repeat the seed/resolved comparison under a
-// tracer cascade, where probes read the environment *by name* through
-// EnvView. Every measurement is also emitted as a JSONL record
-// (--json=PATH, default BENCH_machines.json in the working directory);
-// --quick shrinks the workloads and skips the google-benchmark micros so
-// CI can smoke-test the runner.
+// Ablation A6: self-tail-call frame reuse on the CEK machine, and VM
+// fusion, register and native tiers. Every measurement is also emitted as
+// a JSONL record (--json=PATH, default BENCH_machines.json in the working
+// directory); --quick shrinks the workloads and skips the
+// google-benchmark micros so CI can smoke-test the runner.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
-#include "analysis/Resolver.h"
 #include "compile/AotEmit.h"
 #include "compile/Compiler.h"
 #include "compile/VM.h"
 #include "interp/Direct.h"
-#include "monitors/Tracer.h"
 
 #include <benchmark/benchmark.h>
 
@@ -56,31 +45,6 @@ const char *ListSrc =
     "letrec sum = lambda l. if l = [] then 0 else hd l + sum (tl l) in "
     "letrec go = lambda i. if i = 0 then 0 else "
     "sum (build 60) + go (i - 1) in go 200";
-
-//===----------------------------------------------------------------------===//
-// A5 — level-2 specialization (lexical addressing + frame recycling)
-//===----------------------------------------------------------------------===//
-
-/// One machine configuration under test.
-struct Variant {
-  const char *Name;
-  bool Lexical;
-  bool Recycle;
-  /// Self-tail-call frame reuse. Off for the historical variants so their
-  /// rows stay comparable with earlier committed runs; the dedicated
-  /// `tail-reuse` rows turn it on.
-  bool Reuse = false;
-};
-
-// The lexical+recycling cell is labeled `tagged` after the 8-byte Value
-// word it runs on. The `resolved` rows in the committed
-// BENCH_machines.json are the same cell measured on the former 16-byte
-// boxed Value; they are frozen history (see EXPERIMENTS.md, A5).
-constexpr Variant kVariants[] = {
-    {"seed", false, false},
-    {"legacy+recycle", false, true},
-    {"tagged", true, true},
-};
 
 struct Workload {
   const char *Name;
@@ -130,199 +94,25 @@ struct Measurement {
   uint64_t ArenaBytes = 0;
 };
 
-RunOptions optionsFor(const Variant &V, Strategy S = Strategy::Strict) {
+/// Times one workload on the strict standard semantics, with or without
+/// self-tail-call frame reuse. The machine is constructed directly (not
+/// via evaluate) so the run's arena footprint is observable.
+Measurement measureCEK(const Expr *Prog, bool ReuseTailFrames, int Reps) {
   RunOptions Opts;
-  Opts.Strat = S;
-  Opts.Lexical = V.Lexical;
-  Opts.RecycleFrames = V.Recycle;
-  Opts.ReuseTailFrames = V.Reuse;
-  return Opts;
-}
-
-/// Times one (workload, variant) cell with the strict standard semantics.
-/// Machines are constructed directly (not via evaluate) so the run's arena
-/// footprint is observable; the resolution is computed once outside the
-/// timed region, matching how evaluate() amortizes it across a session.
-Measurement measureStandard(const Expr *Prog, const Variant &V,
-                            const Resolution *Res, Strategy S, int Reps) {
-  RunOptions Opts = optionsFor(V, S);
+  Opts.ReuseTailFrames = ReuseTailFrames;
   Measurement M;
-  auto RunOnce = [&] {
-    if (V.Lexical) {
-      ResolvedMachine Mach(Prog, Opts, NoMonitorPolicy(), Res);
-      RunResult R = Mach.run();
-      M.Steps = R.Steps;
-      M.ArenaBytes = Mach.arenaBytes();
-    } else {
-      StandardMachine Mach(Prog, Opts);
-      RunResult R = Mach.run();
-      M.Steps = R.Steps;
-      M.ArenaBytes = Mach.arenaBytes();
-    }
-  };
-  M.Ms = medianMs(RunOnce, Reps);
-  return M;
-}
-
-/// Same, under a monitor cascade (fresh runtime states per run, like
-/// evaluate() would make).
-Measurement measureMonitored(const Expr *Prog, const Cascade &C,
-                             const Variant &V, const Resolution *Res,
-                             int Reps) {
-  RunOptions Opts = optionsFor(V);
-  Measurement M;
-  auto RunOnce = [&] {
-    RuntimeCascade RC(C);
-    DynamicMonitorPolicy Policy{&RC};
-    if (V.Lexical) {
-      ResolvedMonitoredMachine Mach(Prog, Opts, Policy, Res);
-      RunResult R = Mach.run();
-      M.Steps = R.Steps;
-      M.ArenaBytes = Mach.arenaBytes();
-    } else {
-      MonitoredMachine Mach(Prog, Opts, Policy);
-      RunResult R = Mach.run();
-      M.Steps = R.Steps;
-      M.ArenaBytes = Mach.arenaBytes();
-    }
-  };
-  M.Ms = medianMs(RunOnce, Reps);
+  M.Ms = medianMs(
+      [&] {
+        StandardMachine Mach(Prog, Opts);
+        RunResult R = Mach.run();
+        M.Steps = R.Steps;
+        M.ArenaBytes = Mach.arenaBytes();
+      },
+      Reps);
   return M;
 }
 
 const char *strategyLabel(Strategy S) { return strategyName(S); }
-
-void reportLexical(JsonlWriter &W, bool Quick) {
-  const int Reps = Quick ? 3 : 9;
-
-  std::printf("A5 — level-2 specialization (strict, no monitor)\n");
-  printRule();
-  std::printf("%-14s %10s %16s %10s %9s %14s\n", "workload", "seed ms",
-              "legacy+rec ms", kVariants[2].Name, "speedup",
-              "arena seed/res");
-  printRule();
-
-  for (const Workload &WL : deepWorkloads(Quick)) {
-    auto P = parseOrDie(WL.Src);
-    auto Res = resolveProgram(P->root());
-    if (!Res->ok()) {
-      std::fprintf(stderr, "resolver refused %s; skipping\n", WL.Name);
-      continue;
-    }
-
-    Measurement Cells[3];
-    for (int I = 0; I < 3; ++I) {
-      Cells[I] = measureStandard(P->root(), kVariants[I], Res.get(),
-                                 Strategy::Strict, Reps);
-      W.write({WL.Name, kVariants[I].Name, strategyLabel(Strategy::Strict),
-               Cells[I].Ms * 1e6, Cells[I].Steps, Cells[I].ArenaBytes});
-    }
-
-    // Interleaved ratio for the headline column: robust against clock
-    // drift across the row. medianRatio(Base, Other) = median(Other/Base),
-    // so Base = resolved makes the ratio "seed over resolved" = speedup.
-    double Speedup;
-    if (Quick) {
-      Speedup = Cells[0].Ms / Cells[2].Ms;
-    } else {
-      RunOptions SeedOpts = optionsFor(kVariants[0]);
-      RunOptions ResOpts = optionsFor(kVariants[2]);
-      Speedup = medianRatio(
-          [&] {
-            ResolvedMachine M(P->root(), ResOpts, NoMonitorPolicy(),
-                              Res.get());
-            M.run();
-          },
-          [&] {
-            StandardMachine M(P->root(), SeedOpts);
-            M.run();
-          });
-    }
-
-    std::printf("%-14s %10.3f %16.3f %10.3f %8.2fx %6.1f/%.1f MB\n",
-                WL.Name, Cells[0].Ms, Cells[1].Ms, Cells[2].Ms, Speedup,
-                Cells[0].ArenaBytes / 1048576.0,
-                Cells[2].ArenaBytes / 1048576.0);
-  }
-  printRule();
-  std::printf("seed = named env chain, no recycling; %s = lexical "
-              "addresses + flat\nframes + continuation-frame free list "
-              "(8-byte tagged Value).\n\n",
-              kVariants[2].Name);
-
-  // Strategies under both representations: laziness allocates thunks that
-  // close over the environment, so the flat-frame representation must not
-  // regress call-by-name/need either.
-  std::printf("A5b — strategies, seed vs resolved (fib %d)\n",
-              Quick ? 12 : 16);
-  printRule();
-  auto Mid = parseOrDie(
-      std::string("letrec fib = lambda n. if n < 2 then n else "
-                  "fib (n - 1) + fib (n - 2) in fib ") +
-      (Quick ? "12" : "16"));
-  auto MidRes = resolveProgram(Mid->root());
-  std::string MidName = Quick ? "fib 12" : "fib 16";
-  for (Strategy S :
-       {Strategy::Strict, Strategy::CallByName, Strategy::CallByNeed}) {
-    Measurement Seed = measureStandard(Mid->root(), kVariants[0],
-                                       MidRes.get(), S, Reps);
-    Measurement Rsv = measureStandard(Mid->root(), kVariants[2],
-                                      MidRes.get(), S, Reps);
-    W.write({MidName, kVariants[0].Name, strategyLabel(S), Seed.Ms * 1e6,
-             Seed.Steps, Seed.ArenaBytes});
-    W.write({MidName, kVariants[2].Name, strategyLabel(S), Rsv.Ms * 1e6,
-             Rsv.Steps, Rsv.ArenaBytes});
-    std::printf("%-14s seed %8.3f ms   resolved %8.3f ms   %.2fx\n",
-                strategyLabel(S), Seed.Ms, Rsv.Ms, Seed.Ms / Rsv.Ms);
-  }
-  printRule();
-  std::putchar('\n');
-
-  // Monitored runs: probes fire on every call and read bindings by name,
-  // so this is the adversarial case for flat frames (named lookup scans
-  // slots instead of chasing a chain). The bar is "no regression", not
-  // "speedup".
-  std::printf("A5c — monitored (tracer cascade), seed vs resolved\n");
-  printRule();
-  struct MonWorkload {
-    const char *Name;
-    std::string Src;
-  };
-  std::vector<MonWorkload> MonWLs = {
-      {Quick ? "fib 12 traced" : "fib 16 traced",
-       std::string("letrec fib = lambda n. {fib(n)}: if n < 2 then n else "
-                   "fib (n - 1) + fib (n - 2) in fib ") +
-           (Quick ? "12" : "16")},
-      {Quick ? "down 1000 traced" : "down 4000 traced",
-       std::string("letrec down = lambda n. {down(n)}: if n = 0 then 0 "
-                   "else down (n - 1) in down ") +
-           (Quick ? "1000" : "4000")},
-  };
-  Tracer Trace;
-  Cascade C = cascadeOf({&Trace});
-  for (const MonWorkload &WL : MonWLs) {
-    auto P = parseOrDie(WL.Src);
-    DiagnosticSink Diags;
-    if (!C.validateFor(P->root(), Diags)) {
-      std::fprintf(stderr, "cascade rejected %s:\n%s\n", WL.Name,
-                   Diags.str().c_str());
-      continue;
-    }
-    auto Res = resolveProgram(P->root());
-    Measurement Seed =
-        measureMonitored(P->root(), C, kVariants[0], Res.get(), Reps);
-    Measurement Rsv =
-        measureMonitored(P->root(), C, kVariants[2], Res.get(), Reps);
-    W.write({WL.Name, kVariants[0].Name, "strict+tracer", Seed.Ms * 1e6,
-             Seed.Steps, Seed.ArenaBytes});
-    W.write({WL.Name, kVariants[2].Name, "strict+tracer", Rsv.Ms * 1e6,
-             Rsv.Steps, Rsv.ArenaBytes});
-    std::printf("%-16s seed %8.3f ms   resolved %8.3f ms   %.2fx\n",
-                WL.Name, Seed.Ms, Rsv.Ms, Seed.Ms / Rsv.Ms);
-  }
-  printRule();
-  std::putchar('\n');
-}
 
 //===----------------------------------------------------------------------===//
 // A6 — self-tail-call frame reuse (CEK) and VM dispatch/fusion
@@ -333,29 +123,21 @@ void reportLexical(JsonlWriter &W, bool Quick) {
 /// once reuse is on); call-tree workloads mostly measure "no regression".
 void reportTailReuse(JsonlWriter &W, bool Quick) {
   const int Reps = Quick ? 3 : 9;
-  Variant Reuse = kVariants[2];
-  Reuse.Name = "tail-reuse";
-  Reuse.Reuse = true;
 
   std::printf("A6a — CEK self-tail-call frame reuse (strict, no monitor)\n");
   printRule();
   for (const Workload &WL : deepWorkloads(Quick)) {
     auto P = parseOrDie(WL.Src);
-    auto Res = resolveProgram(P->root());
-    if (!Res->ok())
-      continue;
-    Measurement Base = measureStandard(P->root(), kVariants[2], Res.get(),
-                                       Strategy::Strict, Reps);
-    Measurement On =
-        measureStandard(P->root(), Reuse, Res.get(), Strategy::Strict, Reps);
+    Measurement Base = measureCEK(P->root(), /*ReuseTailFrames=*/false, Reps);
+    Measurement On = measureCEK(P->root(), /*ReuseTailFrames=*/true, Reps);
     if (On.Steps != Base.Steps) {
       std::fprintf(stderr, "FAIL: tail-reuse changed step count on %s\n",
                    WL.Name);
       std::exit(1);
     }
-    W.write({WL.Name, Reuse.Name, strategyLabel(Strategy::Strict),
+    W.write({WL.Name, "tail-reuse", strategyLabel(Strategy::Strict),
              On.Ms * 1e6, On.Steps, On.ArenaBytes});
-    std::printf("%-14s resolved %8.3f ms   reuse %8.3f ms   %.2fx   "
+    std::printf("%-14s no reuse %8.3f ms   reuse %8.3f ms   %.2fx   "
                 "arena %.2f -> %.2f MB\n",
                 WL.Name, Base.Ms, On.Ms, Base.Ms / On.Ms,
                 Base.ArenaBytes / 1048576.0, On.ArenaBytes / 1048576.0);
@@ -853,7 +635,6 @@ int main(int argc, char **argv) {
   argc = Kept;
 
   JsonlWriter W(JsonPath);
-  reportLexical(W, Quick);
   reportTailReuse(W, Quick);
   double FusionSpeedup = reportVM(W, Quick);
   std::vector<double> RegSpeedups = reportRegisterVM(W, Quick);

@@ -51,9 +51,8 @@ private:
     if (!R.Ok)
       return;
     // Per-node annotations are only meaningful if each node is reachable
-    // exactly once. Shared subtrees (e.g. residual programs from the
-    // partial evaluator) make addresses ambiguous: refuse, callers fall
-    // back to the named chain.
+    // exactly once. Shared subtrees make addresses ambiguous: refuse, and
+    // the executors report kSharedNodesError.
     if (!Visited.insert(E).second) {
       R.Ok = false;
       return;

@@ -23,9 +23,9 @@
 /// operator, primitive operands, annotation bodies, and letrec bodies.
 /// App operands and letrec bound expressions are excluded — under the lazy
 /// strategies they become thunks that may re-evaluate, and a re-evaluated
-/// letrec must allocate a fresh frame (exactly like the named EnvNode
-/// chain allocates a fresh node) so closures captured by an earlier
-/// evaluation keep their own binding.
+/// letrec must allocate a fresh frame (exactly like the Direct
+/// interpreter's named chain allocates a fresh node) so closures captured
+/// by an earlier evaluation keep their own binding.
 ///
 /// Free variables naming primitives resolve to Global slots in the shared
 /// initial frame; other free variables resolve to a static Unbound marker
@@ -37,11 +37,12 @@
 /// LamExpr, LetrecExpr); the returned Resolution owns the frame shapes
 /// those annotations point to and must outlive any run that uses them.
 /// Resolution is only well-defined for trees: if the same node is
-/// reachable twice (a DAG — e.g. a partial evaluator sharing residual
-/// subtrees) the pass reports !ok() and callers fall back to the named
-/// environment chain. Soundness (Thm. 7.7) is preserved either way: the
-/// resolved machine produces the same answers, and monitors keep named
-/// lookup through EnvView over the frames' slot names.
+/// reachable twice (a DAG) the pass reports !ok(), and both executors that
+/// consume it — the CEK machine and the bytecode compiler — refuse the
+/// program with kSharedNodesError. Every producer in the repo (parser,
+/// prelude wrapper, annotators, partial evaluator) emits trees; cloneExpr
+/// turns a hand-built DAG into one. Monitors keep named lookup through
+/// EnvView over the frames' slot names, so Thm. 7.7 holds on flat frames.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,12 +56,18 @@
 
 namespace monsem {
 
+/// What the CEK machine and the bytecode compiler report for a program
+/// that does not resolve because it shares AST nodes.
+inline constexpr const char *kSharedNodesError =
+    "program shares syntax nodes (a DAG, not a tree) and cannot be run; "
+    "copy it into a tree first (cloneExpr)";
+
 /// Owns the frame shapes referenced by a resolved AST's annotations.
 class Resolution {
 public:
   /// False when the program is not a tree (shared nodes) and per-node
   /// addresses would be ambiguous; the AST annotations are then invalid
-  /// and evaluation must use the named-chain path.
+  /// and the program cannot be run (see kSharedNodesError).
   bool ok() const { return Ok; }
 
   /// Shape of the program's top-level frame (letrecs at the program's

@@ -25,10 +25,12 @@ public:
     // Reuse the resolver's binder numbering: its BinderDepth is exactly
     // the VM's env-link distance (the compiler and the VM both push one
     // env node per lambda parameter and per letrec binder, the latter in
-    // scope for bound expression and body alike). On shared-node programs
-    // the resolver refuses and the legacy scope scan below is used.
+    // scope for bound expression and body alike).
     Res = resolveProgramCached(Program);
-    Resolved = Res->ok();
+    if (!Res->ok()) {
+      Diags.error(Program->loc(), kSharedNodesError);
+      return nullptr;
+    }
     Prog->Blocks.emplace_back();
     Prog->Blocks[0].Name = "<main>";
     compileInto(0, Program);
@@ -46,8 +48,6 @@ private:
   CompileOptions Opts;
   std::unique_ptr<CompiledProgram> Prog;
   std::shared_ptr<const Resolution> Res;
-  bool Resolved = false;
-  std::vector<Symbol> Scope; ///< Legacy compile-time environment shape.
   bool Failed = false;
 
   void emit(uint32_t Block, Op Code, uint32_t A = 0) {
@@ -74,13 +74,6 @@ private:
   uint32_t addProbe(const Annotation *Ann, const Expr *Inner) {
     Prog->Probes.push_back(ProbeSite{Ann, Inner});
     return static_cast<uint32_t>(Prog->Probes.size() - 1);
-  }
-
-  std::optional<uint32_t> depthOf(Symbol Name) const {
-    for (size_t I = Scope.size(); I-- > 0;)
-      if (Scope[I] == Name)
-        return static_cast<uint32_t>(Scope.size() - 1 - I);
-    return std::nullopt;
   }
 
   void compileInto(uint32_t Block, const Expr *Top) {
@@ -116,43 +109,23 @@ private:
     }
     case ExprKind::Var: {
       const auto *V = cast<VarExpr>(E);
-      Symbol Name = V->Name;
-      if (Resolved) {
-        switch (V->Addr) {
-        case VarExpr::AddrKind::Local:
-          emit(Block, Op::Var, V->BinderDepth);
-          return;
-        case VarExpr::AddrKind::Global:
-          // The resolver's global slot indexes primBindings directly.
-          emit(Block, Op::Const,
-               addConst(primBindings()[V->SlotIndex].Val));
-          return;
-        case VarExpr::AddrKind::Unbound:
-        case VarExpr::AddrKind::Unresolved:
-          Diags.error(E->loc(), "unbound variable '" +
-                                    std::string(Name.str()) + "'");
-          Failed = true;
-          return;
-        }
+      switch (V->Addr) {
+      case VarExpr::AddrKind::Local:
+        emit(Block, Op::Var, V->BinderDepth);
+        return;
+      case VarExpr::AddrKind::Global:
+        // Free variables denote primitives (the initial environment); the
+        // resolver's global slot indexes primBindings directly.
+        emit(Block, Op::Const, addConst(primBindings()[V->SlotIndex].Val));
+        return;
+      case VarExpr::AddrKind::Unbound:
+      case VarExpr::AddrKind::Unresolved:
+        // The environment shape is fully static: a compile-time error.
+        Diags.error(E->loc(),
+                    "unbound variable '" + std::string(V->Name.str()) + "'");
+        Failed = true;
         return;
       }
-      if (auto Depth = depthOf(Name)) {
-        emit(Block, Op::Var, *Depth);
-        return;
-      }
-      // Free variables denote primitives (the initial environment) or are
-      // compile-time errors — the environment shape is fully static.
-      if (auto P1 = lookupPrim1(Name)) {
-        emit(Block, Op::Const, addConst(Value::mkPrim1(*P1)));
-        return;
-      }
-      if (auto P2 = lookupPrim2(Name)) {
-        emit(Block, Op::Const, addConst(Value::mkPrim2(*P2)));
-        return;
-      }
-      Diags.error(E->loc(), "unbound variable '" + std::string(Name.str()) +
-                                "'");
-      Failed = true;
       return;
     }
     case ExprKind::Lam: {
@@ -161,9 +134,7 @@ private:
       Prog->Blocks.emplace_back();
       Prog->Blocks[Sub].Param = L->Param;
       Prog->Blocks[Sub].Name = "lambda " + std::string(L->Param.str());
-      Scope.push_back(L->Param);
       compileExpr(Sub, L->Body, /*Tail=*/true);
-      Scope.pop_back();
       emit(Sub, Op::Ret);
       emit(Block, Op::MkClosure, Sub);
       return;
@@ -192,11 +163,9 @@ private:
     case ExprKind::Letrec: {
       const auto *L = cast<LetrecExpr>(E);
       emit(Block, Op::PushRecEnv, addName(L->Name));
-      Scope.push_back(L->Name);
       compileExpr(Block, L->Bound, /*Tail=*/false);
       emit(Block, Op::PatchRec);
       compileExpr(Block, L->Body, Tail);
-      Scope.pop_back();
       if (!Tail)
         emit(Block, Op::PopEnv, 1);
       return;

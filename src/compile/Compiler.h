@@ -28,7 +28,8 @@ struct CompileOptions {
 };
 
 /// Compiles \p Program. Returns nullptr (with diagnostics) for programs
-/// with unbound non-primitive variables — the only compile-time error.
+/// with unbound non-primitive variables and for programs that share
+/// syntax nodes (kSharedNodesError; see analysis/Resolver.h).
 std::unique_ptr<CompiledProgram> compileProgram(const Expr *Program,
                                                 DiagnosticSink &Diags,
                                                 CompileOptions Opts = {});

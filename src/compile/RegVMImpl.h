@@ -280,7 +280,7 @@ protected:
       Hooks->saveMonitorSection(S);
     else
       S.writeU32(0);
-    ValueGraphWriter W(nullptr, nullptr, false);
+    ValueGraphWriter W(nullptr, nullptr);
     Serializer &RS = W.roots();
     uint32_t CurPC = PC - 1; // The instruction that did not execute.
     const RegBlock &CB = RP.Blocks[Block];

@@ -85,7 +85,7 @@ private:
       S.writeU32(0);
     // The VM heap never references syntax (closures hold block indices),
     // so the writer needs no ExprTable or shape table.
-    ValueGraphWriter W(nullptr, nullptr, false);
+    ValueGraphWriter W(nullptr, nullptr);
     Serializer &RS = W.roots();
     RS.writeU32(Block);
     RS.writeU32(PC - 1); // The instruction that did not execute.

@@ -2,6 +2,8 @@
 
 #include "interp/Direct.h"
 
+#include <pthread.h>
+
 using namespace monsem;
 
 DirectValuation monsem::fixpoint(DirectFunctional G) {
@@ -21,11 +23,52 @@ DirectValuation monsem::fixpoint(DirectFunctional G) {
 
 namespace {
 
+/// Delivers \p V to \p K, forcing it first if it is a thunk: re-evaluated
+/// under call-by-name, evaluated once and memoized under call-by-need.
+/// Same black-hole text as the CEK machine.
+void forceDirect(DirectContext &Ctx, const DirectValuation &Self, Value V,
+                 const DirectKont &K) {
+  if (!V.is(ValueKind::Thunk)) {
+    K(V);
+    return;
+  }
+  Thunk *T = V.asThunk();
+  switch (T->St) {
+  case Thunk::State::Forced:
+    K(T->Memo);
+    return;
+  case Thunk::State::Forcing:
+    Ctx.fail("infinite value dependency (black hole)");
+    return;
+  case Thunk::State::Unforced:
+    break;
+  }
+  if (Ctx.Strat != Strategy::CallByNeed) {
+    Self(T->E, T->Env, K);
+    return;
+  }
+  T->St = Thunk::State::Forcing;
+  Self(T->E, T->Env, [T, &K](Value R) {
+    T->St = Thunk::State::Forced;
+    T->Memo = R;
+    K(R);
+  });
+}
+
 /// Applies function value \p Fn to \p Arg; recursive evaluation goes
 /// through \p Self (the fixpoint), so derived behavior is inherited at all
 /// levels of recursion.
 void applyDirect(DirectContext &Ctx, const DirectValuation &Self, Value Fn,
                  Value Arg, const DirectKont &K) {
+  if (Arg.is(ValueKind::Thunk) &&
+      (Fn.is(ValueKind::Prim1) || Fn.is(ValueKind::Prim2) ||
+       Fn.is(ValueKind::Prim2Partial))) {
+    // Primitives are strict: force the argument, then apply.
+    forceDirect(Ctx, Self, Arg, [&Ctx, &Self, Fn, &K](Value V) {
+      applyDirect(Ctx, Self, Fn, V, K);
+    });
+    return;
+  }
   switch (Fn.kind()) {
   case ValueKind::Closure: {
     Closure *C = Fn.asClosure();
@@ -66,6 +109,12 @@ void applyDirect(DirectContext &Ctx, const DirectValuation &Self, Value Fn,
 
 } // namespace
 
+// Continuations capture the enclosing continuation (and the recursive
+// valuation Self) by reference. That is sound because answers are
+// delivered by side effect, never by return: a continuation runs, if at
+// all, before the valuation call it was handed to returns, and nothing
+// stores one (thunks hold expressions and environments). Capturing by
+// value would copy the whole continuation chain at every nesting level.
 DirectFunctional monsem::standardFunctional(DirectContext &Ctx) {
   return [&Ctx](const DirectValuation &Self) -> DirectValuation {
     return [&Ctx, Self](const Expr *E, EnvNode *Env, const DirectKont &K) {
@@ -103,7 +152,7 @@ DirectFunctional monsem::standardFunctional(DirectContext &Ctx) {
                    "' referenced before initialization");
           return;
         }
-        K(N->Val);
+        forceDirect(Ctx, Self, N->Val, K);
         return;
       }
       case ExprKind::Lam: {
@@ -115,7 +164,7 @@ DirectFunctional monsem::standardFunctional(DirectContext &Ctx) {
       case ExprKind::If: {
         const auto *I = cast<IfExpr>(E);
         // E[e1] rho { \v. v|Bool -> E[e2] rho k, E[e3] rho k }
-        Self(I->Cond, Env, [&Ctx, Self, I, Env, K](Value V) {
+        Self(I->Cond, Env, [&Ctx, &Self, I, Env, &K](Value V) {
           if (!V.is(ValueKind::Bool)) {
             Ctx.fail("conditional scrutinee must be a boolean, found " +
                      toDisplayString(V));
@@ -127,9 +176,18 @@ DirectFunctional monsem::standardFunctional(DirectContext &Ctx) {
       }
       case ExprKind::App: {
         const auto *App = cast<AppExpr>(E);
+        if (Ctx.Strat != Strategy::Strict) {
+          // Lazy: suspend the operand, evaluate the operator.
+          Value Arg = Value::mkThunk(Ctx.A.create<Thunk>(
+              App->Arg, Env, Thunk::State::Unforced, Value()));
+          Self(App->Fn, Env, [&Ctx, &Self, Arg, &K](Value V1) {
+            applyDirect(Ctx, Self, V1, Arg, K);
+          });
+          return;
+        }
         // E[e2] rho { \v2. E[e1] rho { \v1. (v1|Fun) v2 k } }
-        Self(App->Arg, Env, [&Ctx, Self, App, Env, K](Value V2) {
-          Self(App->Fn, Env, [&Ctx, Self, V2, K](Value V1) {
+        Self(App->Arg, Env, [&Ctx, &Self, App, Env, &K](Value V2) {
+          Self(App->Fn, Env, [&Ctx, &Self, V2, &K](Value V1) {
             applyDirect(Ctx, Self, V1, V2, K);
           });
         });
@@ -138,7 +196,15 @@ DirectFunctional monsem::standardFunctional(DirectContext &Ctx) {
       case ExprKind::Letrec: {
         const auto *L = cast<LetrecExpr>(E);
         EnvNode *Node = extendEnv(Ctx.A, Env, L->Name, Value::mkUnit());
-        Self(L->Bound, Node, [&Ctx, Self, L, Node, K](Value V) {
+        if (Ctx.Strat != Strategy::Strict) {
+          // Lazy: bind the name to a suspension of the bound expression in
+          // the extended environment.
+          Node->Val = Value::mkThunk(Ctx.A.create<Thunk>(
+              L->Bound, Node, Thunk::State::Unforced, Value()));
+          Self(L->Body, Node, K);
+          return;
+        }
+        Self(L->Bound, Node, [&Ctx, &Self, L, Node, &K](Value V) {
           Node->Val = V; // rho' = rho[f -> ...]: tie the knot.
           Self(L->Body, Node, K);
         });
@@ -146,7 +212,7 @@ DirectFunctional monsem::standardFunctional(DirectContext &Ctx) {
       }
       case ExprKind::Prim1: {
         const auto *P = cast<Prim1Expr>(E);
-        Self(P->Arg, Env, [&Ctx, P, K](Value V) {
+        Self(P->Arg, Env, [&Ctx, P, &K](Value V) {
           PrimResult R = applyPrim1(P->Op, V, Ctx.A);
           if (!R.Ok) {
             Ctx.fail(std::move(R.Error));
@@ -158,8 +224,8 @@ DirectFunctional monsem::standardFunctional(DirectContext &Ctx) {
       }
       case ExprKind::Prim2: {
         const auto *P = cast<Prim2Expr>(E);
-        Self(P->Lhs, Env, [&Ctx, Self, P, Env, K](Value L) {
-          Self(P->Rhs, Env, [&Ctx, P, L, K](Value R) {
+        Self(P->Lhs, Env, [&Ctx, &Self, P, Env, &K](Value L) {
+          Self(P->Rhs, Env, [&Ctx, P, L, &K](Value R) {
             PrimResult PR = applyPrim2(P->Op, L, R, Ctx.A);
             if (!PR.Ok) {
               Ctx.fail(std::move(PR.Error));
@@ -210,7 +276,7 @@ DirectFunctional monsem::deriveMonitoring(DirectFunctional G, const Monitor &M,
             M.pre(Pre, State);
           const Expr *Inner = N->Inner;
           DirectKont KPost = [&M, &State, &MCtx, &Ctx, Iso, MonitorIdx, N,
-                              Inner, Env, K](Value V) {
+                              Inner, Env, &K](Value V) {
             // kpost = { \iota*. (k iota*) . updPost }
             MonitorEvent Post{*N->Ann,   *Inner, EnvView(Env), Ctx.Calls,
                               Ctx.A.bytesAllocated(), MCtx};
@@ -250,6 +316,33 @@ private:
   unsigned N;
 };
 
+/// Stack kept free below the deepest valuation call: room for what one
+/// call does after its charge (primitives, monitor hooks, rendering).
+constexpr uintptr_t kStackReserve = 256 * 1024;
+
+/// The most stack a run may use. Under `ulimit -s unlimited` the initial
+/// thread's reported base is the next mapping down, which the kernel's
+/// guard gap keeps the stack from reaching; this bound comes first.
+constexpr uintptr_t kMaxStack = uintptr_t(1) << 30;
+
+/// The calling thread's stack base plus kStackReserve, or 0 when the
+/// bounds are unknown.
+uintptr_t stackFloor() {
+  pthread_attr_t Attr;
+  if (pthread_getattr_np(pthread_self(), &Attr) != 0)
+    return 0;
+  void *Base = nullptr;
+  size_t Size = 0;
+  int Rc = pthread_attr_getstack(&Attr, &Base, &Size);
+  pthread_attr_destroy(&Attr);
+  if (Rc != 0 || !Base)
+    return 0;
+  uintptr_t Low = reinterpret_cast<uintptr_t>(Base);
+  if (Size > kMaxStack)
+    Low += Size - kMaxStack;
+  return Low + kStackReserve;
+}
+
 } // namespace
 
 RunResult monsem::runDirect(const Expr *Program, const Cascade *C,
@@ -263,6 +356,8 @@ RunResult monsem::runDirect(const Expr *Program, const Cascade *C,
                             const DirectOptions &Opts) {
   DirectContext Ctx;
   Ctx.CallBudget = Opts.CallBudget;
+  Ctx.Strat = Opts.Strat;
+  Ctx.StackFloor = stackFloor();
   Governor Gov(Opts.Limits);
   Ctx.Gov = Opts.Limits.any() ? &Gov : nullptr;
   Ctx.A.setByteLimit(Gov.arenaByteCap());
@@ -303,10 +398,6 @@ RunResult monsem::runDirect(const Expr *Program, const Cascade *C,
   R.MonitorFaults = Iso.takeFaults();
   if (Ctx.Stop != Outcome::Ok) {
     R.setOutcome(Ctx.Stop);
-    return R;
-  }
-  if (Ctx.Exhausted) {
-    R.setOutcome(Outcome::FuelExhausted);
     return R;
   }
   if (Ctx.Failed || !Ctx.HasResult) {

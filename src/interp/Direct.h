@@ -4,8 +4,17 @@
 /// A direct transliteration of the paper's semantics into C++ closures.
 /// This is the *reference* evaluator: it exists to realize the paper's
 /// derivation technique literally and to cross-check the production CEK
-/// machine, not to run big programs (CPS in C++ consumes C stack, so a
-/// call budget bounds execution).
+/// machine (its defunctionalized form) and the VMs, not to run big
+/// programs. CPS in C++ consumes C stack, so a call budget bounds
+/// execution, and a stack guard stops the run with DepthExceeded before
+/// the thread's stack runs out.
+///
+/// All three strategies of Section 9.2's language modules run here, the
+/// way the CEK machine runs them: under call-by-name and call-by-need,
+/// application operands and letrec bound expressions become Thunks over
+/// the named environment chain, a variable reference forces them
+/// (memoized under need, with the machine's black-hole error), and
+/// primitives force their arguments.
 ///
 /// The valuation type is the paper's
 ///
@@ -35,6 +44,7 @@
 #include "interp/Machine.h"
 #include "monitor/Cascade.h"
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 
@@ -44,20 +54,25 @@ namespace monsem {
 /// final answer slot, failure state, and the call budget.
 struct DirectContext {
   Arena A;
-  /// Aborts runaway CPS recursion. Every valuation call nests on the C
-  /// stack until the final continuation fires, so the budget bounds the
-  /// peak C-stack depth as well as the work — it doubles as this
-  /// evaluator's depth bound (ResourceLimits::MaxDepth has no separate
-  /// meaning here).
+  /// Aborts runaway CPS recursion (0 = unlimited). Every valuation call
+  /// nests on the C stack until the final continuation fires, so the
+  /// budget bounds the peak C-stack depth as well as the work
+  /// (ResourceLimits::MaxDepth has no separate meaning here); StackFloor
+  /// below is the hard stop when the stack runs out first.
   uint64_t CallBudget = 15000;
   /// Optional resource governor (deadline, arena cap, cancellation);
   /// checked from charge(), one compare per valuation call.
   Governor *Gov = nullptr;
+  /// Evaluation strategy (Section 9.2's language modules).
+  Strategy Strat = Strategy::Strict;
+  /// A valuation call whose frame lies below this address stops the run
+  /// with DepthExceeded: the thread's stack base plus a reserve for the
+  /// work one call does after its charge (see runDirect). 0 = unchecked.
+  uintptr_t StackFloor = 0;
 
   // Run state.
   uint64_t Calls = 0;
   bool Failed = false;
-  bool Exhausted = false;
   Outcome Stop = Outcome::Ok; ///< Governance stop reason, if any.
   std::string Error;
   Value Result;
@@ -65,7 +80,7 @@ struct DirectContext {
 
   /// True once any stop condition fired; valuations and continuations
   /// unwind without further work.
-  bool stopped() const { return Failed || Exhausted || Stop != Outcome::Ok; }
+  bool stopped() const { return Failed || Stop != Outcome::Ok; }
 
   void fail(std::string Msg) {
     if (stopped())
@@ -74,12 +89,17 @@ struct DirectContext {
     Error = std::move(Msg);
   }
 
-  /// Charges one valuation call; false when out of budget or stopped by
-  /// the governor.
+  /// Charges one valuation call; false when out of budget, out of C
+  /// stack, or stopped by the governor.
   bool charge() {
     ++Calls;
     if (CallBudget && Calls > CallBudget) {
-      Exhausted = true;
+      Stop = Outcome::FuelExhausted;
+      return false;
+    }
+    if (reinterpret_cast<uintptr_t>(__builtin_frame_address(0)) <
+        StackFloor) {
+      Stop = Outcome::DepthExceeded;
       return false;
     }
     if (Gov && Calls >= Gov->nextPause()) {
@@ -109,7 +129,7 @@ using DirectFunctional =
 /// fix : (T -> T) -> T, by knot-tying.
 DirectValuation fixpoint(DirectFunctional G);
 
-/// G_lambda of Fig. 2 (strict evaluation).
+/// G_lambda of Fig. 2, under the strategy Ctx.Strat.
 DirectFunctional standardFunctional(DirectContext &Ctx);
 
 /// Gbar of Fig. 3 / Definition 4.2, derived from any functional \p G:
@@ -129,6 +149,7 @@ DirectFunctional deriveMonitoring(DirectFunctional G, const Monitor &M,
 
 /// Everything runDirect needs beyond the program and cascade.
 struct DirectOptions {
+  Strategy Strat = Strategy::Strict;
   uint64_t CallBudget = 15000;
   ResourceLimits Limits;
   FaultPolicy MonitorFaultPolicy = FaultPolicy::Quarantine;

@@ -18,29 +18,8 @@ RunResult monsem::evaluate(const Expr *Program, RunOptions Opts) {
   DurabilityTracker Tracker(Opts.DurabilityPolicy, Opts.DurabilityRetryBudget);
   armDurabilityTracker(Opts, Tracker);
   armJournalCheckpointSink(Opts);
-  // On resume the machine choice (flat frames vs. named chain) must match
-  // the one the checkpoint was written under; adopt it from the header so
-  // a default-configured resume always pairs up. Program identity is still
-  // guarded by the fingerprint check inside restoreCheckpoint().
-  if (Opts.ResumeFrom && Opts.ResumeFrom->valid())
-    Opts.Lexical = Opts.ResumeFrom->header().Lexical;
-  RunResult R;
-  if (Opts.Lexical) {
-    // Level-2 specialization: resolve once, then run on flat frames. The
-    // resolver refuses shared-node programs (!ok), in which case the named
-    // chain remains the semantics of record.
-    // Cached: one tree is resolved once, process-wide, so concurrent runs
-    // sharing a program (Session workers) never race on the annotations.
-    std::shared_ptr<const Resolution> Res = resolveProgramCached(Program);
-    if (Res->ok()) {
-      ResolvedMachine M(Program, Opts, NoMonitorPolicy(), Res.get());
-      R = M.run();
-      R.DurabilityFaults = Opts.Durability->takeFaults();
-      return R;
-    }
-  }
   StandardMachine M(Program, Opts);
-  R = M.run();
+  RunResult R = M.run();
   R.DurabilityFaults = Opts.Durability->takeFaults();
   return R;
 }
@@ -56,8 +35,6 @@ static RunResult evaluateMonitored(const Cascade &C, const Expr *Program,
   DurabilityTracker Tracker(Opts.DurabilityPolicy, Opts.DurabilityRetryBudget);
   armDurabilityTracker(Opts, Tracker);
   armJournalCheckpointSink(Opts);
-  if (Opts.ResumeFrom && Opts.ResumeFrom->valid())
-    Opts.Lexical = Opts.ResumeFrom->header().Lexical;
 
   DiagnosticSink Diags;
   if (!C.validateFor(Program, Diags)) {
@@ -83,19 +60,7 @@ static RunResult evaluateMonitored(const Cascade &C, const Expr *Program,
                                            Opts.Durability);
     Hooks = JH.get();
   }
-  DynamicMonitorPolicy Policy{Hooks};
-  if (Opts.Lexical) {
-    std::shared_ptr<const Resolution> Res = resolveProgramCached(Program);
-    if (Res->ok()) {
-      ResolvedMonitoredMachine M(Program, Opts, Policy, Res.get());
-      RunResult R = M.run();
-      R.FinalStates = RC.takeStates();
-      R.MonitorFaults = RC.takeFaults();
-      R.DurabilityFaults = Opts.Durability->takeFaults();
-      return R;
-    }
-  }
-  MonitoredMachine M(Program, Opts, Policy);
+  MonitoredMachine M(Program, Opts, DynamicMonitorPolicy{Hooks});
   RunResult R = M.run();
   R.FinalStates = RC.takeStates();
   R.MonitorFaults = RC.takeFaults();
@@ -139,9 +104,6 @@ RunResult monsem::evaluate(const EvalMode &Mode, const Expr *Program) {
     return evaluateCompiled(Mode.C, Program, Opts);
 
   case Backend::Direct: {
-    if (Opts.Strat != Strategy::Strict)
-      return errorResult("the Direct backend is strict-only; drop kDirect "
-                         "or the lazy strategy tag");
     if (Opts.ResumeFrom)
       return errorResult("checkpoint/resume requires the CEK or VM backend; "
                          "drop kDirect");
@@ -153,6 +115,7 @@ RunResult monsem::evaluate(const EvalMode &Mode, const Expr *Program) {
         return errorResult(Diags.str());
     }
     DirectOptions D;
+    D.Strat = Opts.Strat;
     // The direct interpreter's call budget doubles as its fuel and depth
     // bound.
     if (Mode.Limits.MaxSteps)

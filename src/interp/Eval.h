@@ -78,7 +78,8 @@ enum class Backend : uint8_t {
   VMRegister, ///< Compile, lower to the register tier, run (strict only).
   VMAot,      ///< Register tier + native code for leaf blocks (strict
               ///< only); degrades to VMRegister without a C compiler.
-  Direct,     ///< The definitional CPS interpreter (strict only).
+  Direct,     ///< The definitional CPS interpreter (all three strategies);
+              ///< the reference oracle for the other backends.
 };
 
 /// Backend selectors composable with `&`.
@@ -90,16 +91,6 @@ inline constexpr BackendTag kVM{Backend::VM};
 inline constexpr BackendTag kVMReg{Backend::VMRegister};
 inline constexpr BackendTag kVMAot{Backend::VMAot};
 inline constexpr BackendTag kDirect{Backend::Direct};
-
-/// Environment-representation selectors composable with `&` (CEK backend):
-/// kLexicalEnv (the default) runs resolvable programs on flat frames;
-/// kNamedEnv forces the named-chain machine. Differential tests pin both
-/// representations against each other.
-struct EnvRepTag {
-  bool Lexical;
-};
-inline constexpr EnvRepTag kLexicalEnv{true};
-inline constexpr EnvRepTag kNamedEnv{false};
 
 /// A resource-limit fragment composable with `&`. Fragments merge
 /// field-wise (nonzero wins), so `deadlineMs(50) & maxDepth(10'000)` arms
@@ -229,7 +220,6 @@ struct EvalMode {
   Strategy Strat = Strategy::Strict;
   ResourceLimits Limits;
   Backend B = Backend::CEK;
-  bool Lexical = true;
   FaultPolicy MonitorFaultPolicy = FaultPolicy::Quarantine;
   unsigned MonitorRetryBudget = 3;
   const Checkpoint *ResumeFrom = nullptr;
@@ -256,7 +246,6 @@ struct EvalMode {
   EvalMode(Cascade C) : C(std::move(C)) {}
   EvalMode(StrategyTag T) : Strat(T.S) {}
   EvalMode(BackendTag T) : B(T.B) {}
-  EvalMode(EnvRepTag T) : Lexical(T.Lexical) {}
   EvalMode(LimitsTag T) : Limits(T.L) {}
   EvalMode(FaultPolicyTag T)
       : MonitorFaultPolicy(T.P), MonitorRetryBudget(T.RetryBudget) {}
@@ -277,7 +266,6 @@ struct EvalMode {
     RunOptions O;
     O.Strat = Strat;
     O.Limits = Limits;
-    O.Lexical = Lexical;
     O.MonitorFaultPolicy = MonitorFaultPolicy;
     O.MonitorRetryBudget = MonitorRetryBudget;
     O.ResumeFrom = ResumeFrom;
@@ -330,10 +318,6 @@ inline EvalMode operator&(EvalMode M, BackendTag T) {
   M.B = T.B;
   return M;
 }
-inline EvalMode operator&(EvalMode M, EnvRepTag T) {
-  M.Lexical = T.Lexical;
-  return M;
-}
 inline EvalMode operator&(EvalMode M, LimitsTag T) {
   detail::mergeLimits(M.Limits, T.L);
   return M;
@@ -379,9 +363,9 @@ RunResult evaluate(const Expr *Program, RunOptions Opts = {});
 /// The Section 9.2 spelling: the unified entry. Assembles RunOptions via
 /// EvalMode::runOptions() and routes to the selected backend — the CEK
 /// machine (MachineT::run), the bytecode compiler + VM (runCompiled), or
-/// the direct CPS interpreter (runDirect). The VM and Direct backends are
-/// strict-only; selecting them with a lazy strategy yields an error result
-/// without running.
+/// the direct CPS interpreter (runDirect). The VM backends are strict-only;
+/// selecting one with a lazy strategy yields an error result without
+/// running.
 RunResult evaluate(const EvalMode &Mode, const Expr *Program);
 
 /// Renders final monitor states like the paper does, one per line:

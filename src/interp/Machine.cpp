@@ -16,9 +16,7 @@ const char *strategyName(Strategy S) {
   return "?";
 }
 
-template class MachineT<NoMonitorPolicy, false>;
-template class MachineT<DynamicMonitorPolicy, false>;
-template class MachineT<NoMonitorPolicy, true>;
-template class MachineT<DynamicMonitorPolicy, true>;
+template class MachineT<NoMonitorPolicy>;
+template class MachineT<DynamicMonitorPolicy>;
 
 } // namespace monsem

@@ -16,29 +16,32 @@
 /// monitoring disabled the clause reduces to evaluating e — the oblivious
 /// functional G_obl of Definition 7.1.
 ///
-/// The machine is a template over two specialization points (Section 9.1):
+/// The machine is specialized at two levels (Section 9.1):
 ///
-///  * a monitor *policy* (level 1): instantiating the machine with a
-///    concrete, statically known monitor removes the interpretive overhead
-///    of monitor dispatch, exactly as specializing the parameterized
-///    interpreter with respect to a monitor specification does.
-///    `NoMonitorPolicy` (standard semantics) and `DynamicMonitorPolicy`
-///    (cascade chosen at run time) are provided; benchmarks instantiate
-///    further policies.
+///  * a monitor *policy* (level 1, the template parameter): instantiating
+///    the machine with a concrete, statically known monitor removes the
+///    interpretive overhead of monitor dispatch, exactly as specializing
+///    the parameterized interpreter with respect to a monitor
+///    specification does. `NoMonitorPolicy` (standard semantics) and
+///    `DynamicMonitorPolicy` (cascade chosen at run time) are provided;
+///    benchmarks instantiate further policies.
 ///
-///  * the environment representation (level 2, program-dependent): with
-///    `Lexical = true` the machine runs a program annotated by the resolver
-///    (analysis/Resolver.h) on flat, array-backed environment frames —
-///    variable references index frames directly instead of scanning a
-///    named chain, and coalesced letrec binders write slots of the current
-///    frame instead of allocating. Monitors still see named bindings
-///    through EnvView, so Thm. 7.7 soundness is representation-invariant.
+///  * the program (level 2): the machine resolves its program once
+///    (analysis/Resolver.h, through the process-wide cache) and runs it on
+///    flat, array-backed environment frames — variable references index
+///    frames directly instead of scanning a named chain, and coalesced
+///    letrec binders write slots of the current frame instead of
+///    allocating. Monitors still see named bindings through EnvView, so
+///    Thm. 7.7 soundness is representation-invariant. Only trees resolve:
+///    a program with shared AST nodes is refused with an error, never run.
 ///
-/// Both machines recycle popped continuation frames through a free list
-/// (frames are strictly LIFO — the language has no first-class
-/// continuations — so a popped frame can never be referenced again); the
-/// hot loop then touches a handful of cache lines instead of streaming
-/// through the arena.
+/// The reference for this machine is the functional it defunctionalizes,
+/// interp/Direct.h, at every strategy.
+///
+/// Popped continuation frames are recycled through a free list (frames are
+/// strictly LIFO — the language has no first-class continuations — so a
+/// popped frame can never be referenced again); the hot loop then touches
+/// a handful of cache lines instead of streaming through the arena.
 ///
 /// Three evaluation strategies (Section 9.2's "language modules"): strict,
 /// call-by-name, and call-by-need.
@@ -67,7 +70,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -83,12 +85,6 @@ struct RunOptions {
   uint64_t MaxSteps = 0;
   /// The answer algebra phi used by the initial continuation (Section 3.1).
   const AnswerAlgebra *Algebra = &StdAnswerAlgebra::instance();
-  /// Use the lexically-addressed machine when the program resolves (driver
-  /// flag, consumed by evaluate(); the machine template ignores it).
-  bool Lexical = true;
-  /// Recycle popped continuation frames through the free list. Off gives
-  /// the allocation behavior of the unoptimized machine (benchmarks).
-  bool RecycleFrames = true;
   /// Resource budget beyond fuel: deadline, arena cap, depth bound,
   /// cooperative cancellation. Limits.MaxSteps supersedes MaxSteps above
   /// when nonzero.
@@ -98,8 +94,8 @@ struct RunOptions {
   FaultPolicy MonitorFaultPolicy = FaultPolicy::Quarantine;
   /// Faults tolerated per monitor under RetryThenQuarantine.
   unsigned MonitorRetryBudget = 3;
-  /// Reuse the caller's environment frame on self-tail-calls (lexical CEK
-  /// machine and VM): `down 100000`-style loops run in O(1) arena bytes.
+  /// Reuse the caller's environment frame on self-tail-calls (CEK machine
+  /// and VM): `down 100000`-style loops run in O(1) arena bytes.
   /// Answers and step counts are unchanged; only arena accounting differs.
   bool ReuseTailFrames = true;
   /// Run compiled programs on the register tier (lowered three-address
@@ -118,11 +114,11 @@ struct RunOptions {
   /// default under TMPDIR (see compile/AotEmit.h).
   std::string AotCacheDir;
   /// Resume from this checkpoint instead of starting fresh. The checkpoint
-  /// must match the run's configuration (backend, strategy, environment
-  /// representation, monitored-ness, program fingerprint); a mismatch
-  /// yields an error result without running. The pointee must outlive the
-  /// run. The resumed run continues the cumulative step counter but gets a
-  /// fresh budget (fuel/checkpoint boundaries measure steps since resume).
+  /// must match the run's configuration (backend, strategy, monitored-ness,
+  /// program fingerprint); a mismatch yields an error result without
+  /// running. The pointee must outlive the run. The resumed run continues
+  /// the cumulative step counter but gets a fresh budget (fuel/checkpoint
+  /// boundaries measure steps since resume).
   const Checkpoint *ResumeFrom = nullptr;
   /// Where emitted checkpoints go (a file, a journal, a test buffer).
   /// Null disables all checkpoint capture.
@@ -282,11 +278,10 @@ struct DynamicMonitorPolicy {
 
 namespace detail {
 
-/// A defunctionalized continuation frame, parameterized over the
-/// environment representation. One allocation per pending sub-evaluation
-/// (amortized away by the free list); frames are immutable once pushed —
-/// patching happens in environments/Thunks, never frames.
-template <typename EnvT> struct FrameT {
+/// A defunctionalized continuation frame. One allocation per pending
+/// sub-evaluation (amortized away by the free list); frames are immutable
+/// once pushed — patching happens in environments/Thunks, never frames.
+struct Frame {
   enum class Kind : uint8_t {
     Halt,
     EvalFn,     ///< Operand evaluated; evaluate the operator (paper order).
@@ -302,38 +297,32 @@ template <typename EnvT> struct FrameT {
 
   Kind K;
   uint8_t Op = 0;           ///< Prim1Op/Prim2Op for primitive frames.
-  uint32_t Idx = 0;         ///< LetrecBind slot index (lexical machine);
-                            ///< tail-position flag for EvalFn/Apply (the
-                            ///< application site's AppExpr::TailPos).
+  uint32_t Idx = 0;         ///< LetrecBind slot index; tail-position flag
+                            ///< for EvalFn/Apply (the application site's
+                            ///< AppExpr::TailPos).
   const Expr *E1 = nullptr; ///< Pending expression (EvalFn/Branch/...).
   const Expr *E2 = nullptr; ///< Else branch (Branch).
-  EnvT *Env = nullptr; ///< Environment for the pending evaluation; also the
-                       ///< knot-tying target of LetrecBind (the EnvNode to
-                       ///< patch, or the EnvFrame whose slot Idx to write).
+  EnvFrame *Env = nullptr; ///< Environment for the pending evaluation; also
+                           ///< the knot-tying target of LetrecBind (the
+                           ///< frame whose slot Idx to write).
   Value V;             ///< Stored intermediate value.
   const Annotation *Ann = nullptr; ///< MonPost.
   Thunk *Th = nullptr;             ///< UpdateThunk.
-  FrameT *Next = nullptr;
+  Frame *Next = nullptr;
 };
-
-/// Legacy name for the named-chain frame (diagnostics, tests).
-using Frame = FrameT<EnvNode>;
 
 } // namespace detail
 
 /// One program execution. Owns the run's arena; `run()` drives the
-/// transition loop to a final answer.
-///
-/// With `Lexical = true` the program must have been annotated by a
-/// successful resolveProgram whose Resolution is passed in and outlives
-/// the machine.
-template <typename Policy, bool Lexical = false> class MachineT {
+/// transition loop to a final answer. The machine resolves \p Program
+/// itself through resolveProgramCached — once per tree, process-wide, so
+/// concurrent runs sharing a program never race on the annotations — and
+/// run() refuses a program that does not resolve (shared AST nodes).
+template <typename Policy> class MachineT {
 public:
-  using EnvT = std::conditional_t<Lexical, EnvFrame, EnvNode>;
-
-  MachineT(const Expr *Program, RunOptions Opts, Policy P = Policy(),
-           const Resolution *Res = nullptr)
-      : Program(Program), Opts(Opts), Pol(P), Res(Res) {}
+  MachineT(const Expr *Program, RunOptions Opts, Policy P = Policy())
+      : Program(Program), Opts(Opts), Pol(P),
+        Res(resolveProgramCached(Program)) {}
 
   RunResult run();
 
@@ -341,8 +330,8 @@ public:
   size_t arenaBytes() const { return A.bytesAllocated(); }
 
 private:
-  using Frame = detail::FrameT<EnvT>;
-  using FK = typename Frame::Kind;
+  using Frame = detail::Frame;
+  using FK = Frame::Kind;
 
   Frame *mkFrame(FK K, Frame *Next) {
     ++KontDepth;
@@ -365,8 +354,6 @@ private:
   void recycle(Frame *F) {
     --KontDepth; // Frames are popped exactly once; the depth bound
                  // (ResourceLimits::MaxDepth) reads this counter.
-    if (!Opts.RecycleFrames)
-      return;
     F->Next = FreeList;
     FreeList = F;
   }
@@ -378,7 +365,7 @@ private:
 
   /// Transition: evaluate \p E in \p Env with continuation \p K.
   /// Sets Mode to Return when a value is produced immediately.
-  void doEval(const Expr *E, EnvT *Env, Frame *K);
+  void doEval(const Expr *E, EnvFrame *Env, Frame *K);
 
   /// Transition: process exactly one frame of the continuation for the
   /// returned value \p V. Never recurses; chained pass-through frames
@@ -399,27 +386,16 @@ private:
   /// site's environment and \p Tail its AppExpr::TailPos flag — together
   /// with the dynamic shape/parent check they enable self-tail-call
   /// frame reuse on the lexical machine.
-  void applyFunction(Value Fn, Value Arg, Frame *K, EnvT *CallerEnv = nullptr,
-                     bool Tail = false);
+  void applyFunction(Value Fn, Value Arg, Frame *K,
+                     EnvFrame *CallerEnv = nullptr, bool Tail = false);
 
   /// Forces \p V (a thunk) and delivers the result to \p K.
   void force(Value V, Frame *K);
 
-  /// The environment a suspension or closure captured.
-  EnvT *envOf(const Thunk *T) {
-    if constexpr (Lexical)
-      return T->FEnv;
-    else
-      return T->Env;
-  }
-
   /// Monitor-facing view of \p Env. Flat frames carry shape ids, so the
   /// view needs the Resolution's decode table to answer named lookups.
-  EnvView envView(EnvT *Env) const {
-    if constexpr (Lexical)
-      return EnvView(Env, Res->shapeTable());
-    else
-      return EnvView(Env);
+  EnvView envView(EnvFrame *Env) const {
+    return EnvView(Env, Res->shapeTable());
   }
 
   //===--------------------------------------------------------------------===//
@@ -452,26 +428,10 @@ private:
     return It == AnnotIds.end() ? 0 : It->second;
   }
 
-  FrameShapeTable shapesOrNull() const {
-    return Res ? Res->shapeTable() : nullptr;
-  }
-  uint32_t numShapesOrZero() const {
+  uint32_t numShapes() const {
     // The decode table has one extra entry: id 0 is the shared
     // primitives-frame shape, seeded ahead of the resolver's own shapes.
-    return Res ? static_cast<uint32_t>(Res->numShapes()) + 1 : 0;
-  }
-
-  void writeEnvRef(ValueGraphWriter &W, EnvT *Env) const {
-    if constexpr (Lexical)
-      W.writeEnvFrameRef(Env);
-    else
-      W.writeEnvNodeRef(Env);
-  }
-  EnvT *readEnvRef(ValueGraphReader &Rd) const {
-    if constexpr (Lexical)
-      return Rd.readEnvFrameRef();
-    else
-      return Rd.readEnvNodeRef();
+    return static_cast<uint32_t>(Res->numShapes()) + 1;
   }
 
   /// Serializes the full machine state at a transition boundary. Called
@@ -503,13 +463,14 @@ private:
   const Expr *Program;
   RunOptions Opts;
   Policy Pol;
-  const Resolution *Res;
+  /// The program's frame layout; pinned here so it outlives the run.
+  std::shared_ptr<const Resolution> Res;
   Arena A;
 
   // Trampoline state.
   enum class Mode : uint8_t { Eval, Return, Done } M = Mode::Eval;
   const Expr *CurExpr = nullptr;
-  EnvT *CurEnv = nullptr;
+  EnvFrame *CurEnv = nullptr;
   Value CurVal;
   Frame *CurKont = nullptr;
   Frame *FreeList = nullptr;
@@ -530,22 +491,18 @@ private:
   std::deque<std::string> RevivedStrings;
 };
 
-extern template class MachineT<NoMonitorPolicy, false>;
-extern template class MachineT<DynamicMonitorPolicy, false>;
-extern template class MachineT<NoMonitorPolicy, true>;
-extern template class MachineT<DynamicMonitorPolicy, true>;
+extern template class MachineT<NoMonitorPolicy>;
+extern template class MachineT<DynamicMonitorPolicy>;
 
-using StandardMachine = MachineT<NoMonitorPolicy, false>;
-using MonitoredMachine = MachineT<DynamicMonitorPolicy, false>;
-using ResolvedMachine = MachineT<NoMonitorPolicy, true>;
-using ResolvedMonitoredMachine = MachineT<DynamicMonitorPolicy, true>;
+using StandardMachine = MachineT<NoMonitorPolicy>;
+using MonitoredMachine = MachineT<DynamicMonitorPolicy>;
 
 //===----------------------------------------------------------------------===//
 // Template implementation
 //===----------------------------------------------------------------------===//
 
-template <typename Policy, bool Lexical>
-void MachineT<Policy, Lexical>::doEval(const Expr *E, EnvT *Env, Frame *K) {
+template <typename Policy>
+void MachineT<Policy>::doEval(const Expr *E, EnvFrame *Env, Frame *K) {
   switch (E->kind()) {
   case ExprKind::Const: {
     const ConstVal &C = cast<ConstExpr>(E)->Val;
@@ -568,35 +525,25 @@ void MachineT<Policy, Lexical>::doEval(const Expr *E, EnvT *Env, Frame *K) {
   case ExprKind::Var: {
     const auto *V = cast<VarExpr>(E);
     Value Val;
-    if constexpr (Lexical) {
-      switch (V->Addr) {
-      case VarExpr::AddrKind::Local: {
-        EnvFrame *F = Env;
-        for (uint32_t D = V->FrameDepth; D; --D)
-          F = F->parent();
-        Val = F->slots()[V->SlotIndex];
-        break;
-      }
-      case VarExpr::AddrKind::Global:
-        setReturn(PrimF->slots()[V->SlotIndex], K);
-        return;
-      case VarExpr::AddrKind::Unbound:
-        fail("unbound variable '" + std::string(V->Name.str()) + "' at " +
-             E->loc().str());
-        return;
-      case VarExpr::AddrKind::Unresolved:
-        fail("internal error: unresolved variable '" +
-             std::string(V->Name.str()) + "' in lexical machine");
-        return;
-      }
-    } else {
-      EnvNode *N = lookupEnv(Env, V->Name);
-      if (!N) {
-        fail("unbound variable '" + std::string(V->Name.str()) + "' at " +
-             E->loc().str());
-        return;
-      }
-      Val = N->Val;
+    switch (V->Addr) {
+    case VarExpr::AddrKind::Local: {
+      EnvFrame *F = Env;
+      for (uint32_t D = V->FrameDepth; D; --D)
+        F = F->parent();
+      Val = F->slots()[V->SlotIndex];
+      break;
+    }
+    case VarExpr::AddrKind::Global:
+      setReturn(PrimF->slots()[V->SlotIndex], K);
+      return;
+    case VarExpr::AddrKind::Unbound:
+      fail("unbound variable '" + std::string(V->Name.str()) + "' at " +
+           E->loc().str());
+      return;
+    case VarExpr::AddrKind::Unresolved:
+      fail("internal error: unresolved variable '" +
+           std::string(V->Name.str()) + "' in the CEK machine");
+      return;
     }
     if (Val.isUnit()) {
       fail("letrec variable '" + std::string(V->Name.str()) +
@@ -643,12 +590,8 @@ void MachineT<Policy, Lexical>::doEval(const Expr *E, EnvT *Env, Frame *K) {
       return;
     }
     // Lazy strategies: suspend the operand, evaluate the operator.
-    Thunk *T;
-    if constexpr (Lexical)
-      T = A.create<Thunk>(App->Arg, nullptr, Thunk::State::Unforced, Value(),
-                          Env);
-    else
-      T = A.create<Thunk>(App->Arg, Env, Thunk::State::Unforced, Value());
+    Thunk *T = A.create<Thunk>(App->Arg, nullptr, Thunk::State::Unforced,
+                               Value(), Env);
     Frame *F = mkFrame(FK::Apply, K);
     F->V = Value::mkThunk(T);
     F->Env = Env;
@@ -661,37 +604,26 @@ void MachineT<Policy, Lexical>::doEval(const Expr *E, EnvT *Env, Frame *K) {
   }
   case ExprKind::Letrec: {
     const auto *L = cast<LetrecExpr>(E);
-    EnvT *Node;
+    EnvFrame *Node;
     uint32_t Slot;
-    if constexpr (Lexical) {
-      if (L->Shape) {
-        // Frame head: a fresh frame whose slot 0 is the binder.
-        Node = allocFrame(A, L->Shape, Env);
-        Slot = 0;
-      } else {
-        // Coalesced member: reuse the current frame; the resolver
-        // guarantees this letrec runs at most once per frame instance, so
-        // the preallocated slot is still Unit ("not yet initialized").
-        Node = Env;
-        Slot = L->SlotIndex;
-      }
-    } else {
-      Node = extendEnv(A, Env, L->Name, Value::mkUnit());
+    if (L->Shape) {
+      // Frame head: a fresh frame whose slot 0 is the binder.
+      Node = allocFrame(A, L->Shape, Env);
       Slot = 0;
+    } else {
+      // Coalesced member: reuse the current frame; the resolver guarantees
+      // this letrec runs at most once per frame instance, so the
+      // preallocated slot is still Unit ("not yet initialized").
+      Node = Env;
+      Slot = L->SlotIndex;
     }
     if (Opts.Strat != Strategy::Strict) {
       // Lazy letrec: bind the name to a thunk of the bound expression in
       // the extended environment; self-reference cycles are caught as
       // black holes under call-by-need.
-      Thunk *T;
-      if constexpr (Lexical) {
-        T = A.create<Thunk>(L->Bound, nullptr, Thunk::State::Unforced,
-                            Value(), Node);
-        Node->slots()[Slot] = Value::mkThunk(T);
-      } else {
-        T = A.create<Thunk>(L->Bound, Node, Thunk::State::Unforced, Value());
-        Node->Val = Value::mkThunk(T);
-      }
+      Thunk *T = A.create<Thunk>(L->Bound, nullptr, Thunk::State::Unforced,
+                                 Value(), Node);
+      Node->slots()[Slot] = Value::mkThunk(T);
       M = Mode::Eval;
       CurExpr = L->Body;
       CurEnv = Node;
@@ -755,8 +687,8 @@ void MachineT<Policy, Lexical>::doEval(const Expr *E, EnvT *Env, Frame *K) {
   }
 }
 
-template <typename Policy, bool Lexical>
-void MachineT<Policy, Lexical>::force(Value V, Frame *K) {
+template <typename Policy>
+void MachineT<Policy>::force(Value V, Frame *K) {
   Thunk *T = V.asThunk();
   switch (T->St) {
   case Thunk::State::Forced:
@@ -776,47 +708,42 @@ void MachineT<Policy, Lexical>::force(Value V, Frame *K) {
   }
   M = Mode::Eval;
   CurExpr = T->E;
-  CurEnv = envOf(T);
+  CurEnv = T->FEnv;
   CurKont = K;
 }
 
-template <typename Policy, bool Lexical>
-void MachineT<Policy, Lexical>::applyFunction(Value Fn, Value Arg, Frame *K,
-                                              EnvT *CallerEnv, bool Tail) {
+template <typename Policy>
+void MachineT<Policy>::applyFunction(Value Fn, Value Arg, Frame *K,
+                                              EnvFrame *CallerEnv, bool Tail) {
   switch (Fn.kind()) {
   case ValueKind::Closure: {
     Closure *C = Fn.asClosure();
-    EnvT *Env;
-    if constexpr (Lexical) {
-      const LamExpr *L = C->L;
-      // Self-tail-call frame reuse: the application sits in tail position
-      // of a lambda body whose activation frame is CallerEnv (TailPos
-      // guarantees no head letrec intervened), the callee is a closure
-      // over the *same* lambda (shapes are unique per lambda) with the
-      // same parent chain, and the body creates no closures or probes
-      // (FrameReusable) — so the fresh frame the callee would allocate is
-      // indistinguishable from CallerEnv with its slots reset. Strict
-      // only: lazy strategies capture environments in thunks.
-      if (Tail && CallerEnv && L->FrameReusable && Opts.ReuseTailFrames &&
-          Opts.Strat == Strategy::Strict &&
-          CallerEnv->parent() == C->FEnv &&
-          frameShape(CallerEnv, Res->shapeTable()) == L->Shape) {
-        Value *S = CallerEnv->slots();
-        uint32_t N = L->Shape->numSlots();
-        S[0] = Arg;
-        // Coalesced letrec member slots must read as "not yet
-        // initialized" on frame entry, exactly as a fresh frame would.
-        for (uint32_t J = 1; J < N; ++J)
-          S[J] = Value();
-        Env = CallerEnv;
-      } else {
-        Env = allocFrame(A, L->Shape, C->FEnv, Arg);
-      }
+    const LamExpr *L = C->L;
+    EnvFrame *Env;
+    // Self-tail-call frame reuse: the application sits in tail position of
+    // a lambda body whose activation frame is CallerEnv (TailPos
+    // guarantees no head letrec intervened), the callee is a closure over
+    // the *same* lambda (shapes are unique per lambda) with the same
+    // parent chain, and the body creates no closures or probes
+    // (FrameReusable) — so the fresh frame the callee would allocate is
+    // indistinguishable from CallerEnv with its slots reset. Strict only:
+    // lazy strategies capture environments in thunks.
+    if (Tail && CallerEnv && L->FrameReusable && Opts.ReuseTailFrames &&
+        Opts.Strat == Strategy::Strict && CallerEnv->parent() == C->FEnv &&
+        frameShape(CallerEnv, Res->shapeTable()) == L->Shape) {
+      Value *S = CallerEnv->slots();
+      uint32_t N = L->Shape->numSlots();
+      S[0] = Arg;
+      // Coalesced letrec member slots must read as "not yet initialized"
+      // on frame entry, exactly as a fresh frame would.
+      for (uint32_t J = 1; J < N; ++J)
+        S[J] = Value();
+      Env = CallerEnv;
     } else {
-      Env = extendEnv(A, C->Env, C->L->Param, Arg);
+      Env = allocFrame(A, L->Shape, C->FEnv, Arg);
     }
     M = Mode::Eval;
-    CurExpr = C->L->Body;
+    CurExpr = L->Body;
     CurEnv = Env;
     CurKont = K;
     return;
@@ -873,8 +800,8 @@ void MachineT<Policy, Lexical>::applyFunction(Value Fn, Value Arg, Frame *K,
   }
 }
 
-template <typename Policy, bool Lexical>
-void MachineT<Policy, Lexical>::doReturn(Value V, Frame *K) {
+template <typename Policy>
+void MachineT<Policy>::doReturn(Value V, Frame *K) {
   // Each case reads the frame's fields into locals, recycles the frame,
   // and only then continues — the recycled slot is usually reused by the
   // very next mkFrame, so the continuation's hot end stays in cache.
@@ -886,7 +813,7 @@ void MachineT<Policy, Lexical>::doReturn(Value V, Frame *K) {
   case FK::EvalFn: {
     // V is the operand value; evaluate the operator next.
     const Expr *Fn = K->E1;
-    EnvT *Env = K->Env;
+    EnvFrame *Env = K->Env;
     uint32_t Tail = K->Idx;
     Frame *Next = K->Next;
     recycle(K);
@@ -903,7 +830,7 @@ void MachineT<Policy, Lexical>::doReturn(Value V, Frame *K) {
   case FK::Apply: {
     // V is the operator; the stored value is the operand.
     Value Arg = K->V;
-    EnvT *CallerEnv = K->Env;
+    EnvFrame *CallerEnv = K->Env;
     bool Tail = K->Idx != 0;
     Frame *Next = K->Next;
     recycle(K);
@@ -917,7 +844,7 @@ void MachineT<Policy, Lexical>::doReturn(Value V, Frame *K) {
       return;
     }
     const Expr *Taken = V.asBool() ? K->E1 : K->E2;
-    EnvT *Env = K->Env;
+    EnvFrame *Env = K->Env;
     Frame *Next = K->Next;
     recycle(K);
     M = Mode::Eval;
@@ -927,15 +854,12 @@ void MachineT<Policy, Lexical>::doReturn(Value V, Frame *K) {
     return;
   }
   case FK::LetrecBind: {
-    EnvT *Env = K->Env;
+    EnvFrame *Env = K->Env;
     uint32_t Idx = K->Idx;
     const Expr *Body = K->E1;
     Frame *Next = K->Next;
     recycle(K);
-    if constexpr (Lexical)
-      Env->slots()[Idx] = V;
-    else
-      Env->Val = V;
+    Env->slots()[Idx] = V;
     M = Mode::Eval;
     CurExpr = Body;
     CurEnv = Env;
@@ -945,7 +869,7 @@ void MachineT<Policy, Lexical>::doReturn(Value V, Frame *K) {
   case FK::Prim2Rhs: {
     uint8_t Op = K->Op;
     const Expr *Rhs = K->E1;
-    EnvT *Env = K->Env;
+    EnvFrame *Env = K->Env;
     Frame *Next = K->Next;
     recycle(K);
     if (!Rhs) {
@@ -1012,12 +936,14 @@ void MachineT<Policy, Lexical>::doReturn(Value V, Frame *K) {
 /// Per-frame-kind payloads: each kind serializes exactly the fields its
 /// doReturn case reads, so stale fields of recycled frames never drag
 /// unreachable heap structure into the checkpoint.
-template <typename Policy, bool Lexical>
-Checkpoint MachineT<Policy, Lexical>::makeCheckpoint() {
+template <typename Policy>
+Checkpoint MachineT<Policy>::makeCheckpoint() {
   CheckpointHeader H;
   H.Backend = CheckpointBackend::CEK;
   H.Strategy = static_cast<uint8_t>(Opts.Strat);
-  H.Lexical = Lexical;
+  // Header byte 10 once told flat frames (1) from the named chain (0); the
+  // machine only has flat frames now, so it is always 1.
+  H.Lexical = true;
   // Only hook-carrying policies (DynamicMonitorPolicy) have monitor states
   // to serialize; a level-1 inline policy keeps its state outside the
   // machine and checkpoints as unmonitored.
@@ -1033,16 +959,15 @@ Checkpoint MachineT<Policy, Lexical>::makeCheckpoint() {
   else
     S.writeU32(0);
 
-  ValueGraphWriter W(exprTable(), shapesOrNull(), Lexical);
+  ValueGraphWriter W(exprTable(), Res->shapeTable());
   Serializer &RS = W.roots();
   if (M == Mode::Return) {
     W.writeValue(CurVal);
   } else {
     W.writeExprRef(CurExpr);
-    writeEnvRef(W, CurEnv);
+    W.writeEnvFrameRef(CurEnv);
   }
-  if constexpr (Lexical)
-    W.writeEnvFrameRef(PrimF);
+  W.writeEnvFrameRef(PrimF);
 
   uint32_t N = 0;
   for (Frame *F = CurKont; F; F = F->Next)
@@ -1055,28 +980,28 @@ Checkpoint MachineT<Policy, Lexical>::makeCheckpoint() {
       break;
     case FK::EvalFn:
       W.writeExprRef(F->E1);
-      writeEnvRef(W, F->Env);
+      W.writeEnvFrameRef(F->Env);
       RS.writeU32(F->Idx);
       break;
     case FK::Apply:
       W.writeValue(F->V);
-      writeEnvRef(W, F->Env);
+      W.writeEnvFrameRef(F->Env);
       RS.writeU32(F->Idx);
       break;
     case FK::Branch:
       W.writeExprRef(F->E1);
       W.writeExprRef(F->E2);
-      writeEnvRef(W, F->Env);
+      W.writeEnvFrameRef(F->Env);
       break;
     case FK::LetrecBind:
-      writeEnvRef(W, F->Env);
+      W.writeEnvFrameRef(F->Env);
       RS.writeU32(F->Idx);
       W.writeExprRef(F->E1);
       break;
     case FK::Prim2Rhs:
       RS.writeU8(F->Op);
       W.writeExprRef(F->E1); // Null encodes "build a partial" (see doReturn).
-      writeEnvRef(W, F->Env);
+      W.writeEnvFrameRef(F->Env);
       break;
     case FK::Prim2Apply:
       RS.writeU8(F->Op);
@@ -1089,7 +1014,7 @@ Checkpoint MachineT<Policy, Lexical>::makeCheckpoint() {
       // Ann and E1 both belong to one AnnotExpr; its pre-order id names
       // them across processes.
       RS.writeU32(annotIdOf(F->Ann));
-      writeEnvRef(W, F->Env);
+      W.writeEnvFrameRef(F->Env);
       break;
     case FK::UpdateThunk:
       W.writeThunkRef(F->Th);
@@ -1102,8 +1027,8 @@ Checkpoint MachineT<Policy, Lexical>::makeCheckpoint() {
   return Checkpoint::seal(std::move(S));
 }
 
-template <typename Policy, bool Lexical>
-bool MachineT<Policy, Lexical>::restoreCheckpoint(const Checkpoint &CK,
+template <typename Policy>
+bool MachineT<Policy>::restoreCheckpoint(const Checkpoint &CK,
                                                   std::string &Err) {
   const CheckpointHeader &H = CK.header();
   if (H.Backend != CheckpointBackend::CEK) {
@@ -1116,9 +1041,9 @@ bool MachineT<Policy, Lexical>::restoreCheckpoint(const Checkpoint &CK,
           " strategy, this run uses " + strategyName(Opts.Strat);
     return false;
   }
-  if (H.Lexical != Lexical) {
-    Err = "checkpoint environment representation (flat frames vs named "
-          "chain) does not match this machine";
+  if (!H.Lexical) {
+    Err = "checkpoint was written by the named-environment CEK machine, "
+          "which no longer exists; rerun the program from the start";
     return false;
   }
   constexpr bool HasHooks = requires(Policy &P, Deserializer &Sec) {
@@ -1152,7 +1077,7 @@ bool MachineT<Policy, Lexical>::restoreCheckpoint(const Checkpoint &CK,
     return false;
   }
 
-  ValueGraphReader Rd(D, A, exprTable(), shapesOrNull(), numShapesOrZero());
+  ValueGraphReader Rd(D, A, exprTable(), Res->shapeTable(), numShapes());
   if (!Rd.readObjects()) {
     Err = D.error();
     return false;
@@ -1162,15 +1087,14 @@ bool MachineT<Policy, Lexical>::restoreCheckpoint(const Checkpoint &CK,
     M = Mode::Return;
   } else {
     CurExpr = Rd.readExprRef();
-    CurEnv = readEnvRef(Rd);
+    CurEnv = Rd.readEnvFrameRef();
     M = Mode::Eval;
     if (D.ok() && !CurExpr) {
       Err = "corrupt checkpoint: null control expression";
       return false;
     }
   }
-  if constexpr (Lexical)
-    PrimF = Rd.readEnvFrameRef();
+  PrimF = Rd.readEnvFrameRef();
 
   uint32_t N = D.readU32();
   if (!D.ok() || N == 0 || N > (1u << 28)) {
@@ -1193,28 +1117,28 @@ bool MachineT<Policy, Lexical>::restoreCheckpoint(const Checkpoint &CK,
       break;
     case FK::EvalFn:
       F->E1 = Rd.readExprRef();
-      F->Env = readEnvRef(Rd);
+      F->Env = Rd.readEnvFrameRef();
       F->Idx = D.readU32();
       break;
     case FK::Apply:
       F->V = Rd.readValue();
-      F->Env = readEnvRef(Rd);
+      F->Env = Rd.readEnvFrameRef();
       F->Idx = D.readU32();
       break;
     case FK::Branch:
       F->E1 = Rd.readExprRef();
       F->E2 = Rd.readExprRef();
-      F->Env = readEnvRef(Rd);
+      F->Env = Rd.readEnvFrameRef();
       break;
     case FK::LetrecBind:
-      F->Env = readEnvRef(Rd);
+      F->Env = Rd.readEnvFrameRef();
       F->Idx = D.readU32();
       F->E1 = Rd.readExprRef();
       break;
     case FK::Prim2Rhs:
       F->Op = D.readU8();
       F->E1 = Rd.readExprRef();
-      F->Env = readEnvRef(Rd);
+      F->Env = Rd.readEnvFrameRef();
       break;
     case FK::Prim2Apply:
       F->Op = D.readU8();
@@ -1232,7 +1156,7 @@ bool MachineT<Policy, Lexical>::restoreCheckpoint(const Checkpoint &CK,
       }
       F->Ann = cast<AnnotExpr>(AE)->Ann;
       F->E1 = cast<AnnotExpr>(AE)->Inner;
-      F->Env = readEnvRef(Rd);
+      F->Env = Rd.readEnvFrameRef();
       break;
     }
     case FK::UpdateThunk:
@@ -1256,9 +1180,14 @@ bool MachineT<Policy, Lexical>::restoreCheckpoint(const Checkpoint &CK,
   return true;
 }
 
-template <typename Policy, bool Lexical>
-RunResult MachineT<Policy, Lexical>::run() {
+template <typename Policy>
+RunResult MachineT<Policy>::run() {
   RunResult R;
+  if (!Res->ok()) {
+    R.setOutcome(Outcome::Error);
+    R.Error = kSharedNodesError;
+    return R;
+  }
   if (Opts.ResumeFrom) {
     std::string Err;
     if (!restoreCheckpoint(*Opts.ResumeFrom, Err)) {
@@ -1277,15 +1206,11 @@ RunResult MachineT<Policy, Lexical>::run() {
     if (!Opts.ResumeFrom) {
       Frame *Halt = mkFrame(FK::Halt, nullptr);
       CurExpr = Program;
-      if constexpr (Lexical) {
-        // The frame chain bottoms out at the initial frame so monitors see
-        // the primitive bindings through EnvView, matching the named chain.
-        // The machine itself addresses PrimF directly (AddrKind::Global).
-        PrimF = initialFrame(A);
-        CurEnv = allocFrame(A, Res->rootShape(), PrimF);
-      } else {
-        CurEnv = initialEnv(A);
-      }
+      // The frame chain bottoms out at the initial frame so monitors see
+      // the primitive bindings through EnvView. The machine itself
+      // addresses PrimF directly (AddrKind::Global).
+      PrimF = initialFrame(A);
+      CurEnv = allocFrame(A, Res->rootShape(), PrimF);
       CurKont = Halt;
       M = Mode::Eval;
     }

@@ -7,6 +7,7 @@
 #include "syntax/Parser.h"
 
 #include <string>
+#include <unordered_set>
 
 using namespace monsem;
 
@@ -94,6 +95,8 @@ private:
   unsigned Specializations = 0;
   unsigned FreshCounter = 0;
   bool GaveUp = false;
+  /// Dynamic residual nodes already placed in the output (see lift()).
+  std::unordered_set<const Expr *> Placed;
 
   Symbol fresh(std::string_view Base) {
     return Symbol::intern(std::string(Base) + "_" +
@@ -161,6 +164,10 @@ private:
     return Out.mkLam(P, Body);
   }
 
+  /// Residual code for \p V, at a single place in the output. A dynamic
+  /// value may be lifted more than once (a variable bound to residual code
+  /// and referenced twice); its node goes into the first place and a copy
+  /// into every later one, so the residual is a tree, never a DAG.
   const Expr *lift(PEVal V) {
     switch (V.K) {
     case PEVal::Kind::Ground:
@@ -168,7 +175,7 @@ private:
     case PEVal::Kind::Fun:
       return liftClosure(V.F);
     case PEVal::Kind::Dyn:
-      return V.Res;
+      return Placed.insert(V.Res).second ? V.Res : cloneExpr(Out, V.Res);
     }
     return nullptr;
   }
@@ -248,7 +255,7 @@ private:
       return PEVal::dyn(Out.mkApp(lift(Fn), lift(Arg)));
     }
     case PEVal::Kind::Dyn:
-      return PEVal::dyn(Out.mkApp(Fn.Res, lift(Arg)));
+      return PEVal::dyn(Out.mkApp(lift(Fn), lift(Arg)));
     }
     return giveUp();
   }

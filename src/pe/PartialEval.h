@@ -28,6 +28,9 @@
 ///  * residual letrec definitions are emitted at the original letrec site,
 ///    so they close over exactly what the source function closed over.
 ///
+/// The residual is always a tree (no node is reachable twice), so the
+/// resolver accepts it and every backend can run it.
+///
 /// The specializer gives up (returning the original program and GaveUp =
 /// true) on its step/depth budgets or on shapes it cannot scope correctly
 /// (e.g. a recursive closure escaping its letrec and being specialized

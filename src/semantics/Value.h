@@ -81,15 +81,15 @@ struct Cell;
 /// A user-defined function value: the defining `lambda` closed over its
 /// environment. Param, body, and the frame shape an application allocates
 /// all live on the LamExpr (the resolver annotates Shape there), so the
-/// closure carries only the lambda and the captured environment — and a
-/// given run uses exactly one environment representation, so the two
+/// closure carries only the lambda and the captured environment — and each
+/// evaluator uses exactly one environment representation, so the two
 /// pointers share a slot. Two words total; closures are the second-highest
 /// volume allocation after frames (one per curried application step).
 struct Closure {
   const LamExpr *L;
   union {
-    EnvNode *Env;   ///< Named-chain runs.
-    EnvFrame *FEnv; ///< Flat-frame (lexical) runs.
+    EnvNode *Env;   ///< The Direct interpreter's named chain.
+    EnvFrame *FEnv; ///< The CEK machine's flat frames.
   };
 
   Closure(const LamExpr *L, EnvNode *Env) : L(L), Env(Env) {}
@@ -393,13 +393,16 @@ static_assert(alignof(EnvFrame) % alignof(Value) == 0 &&
                   sizeof(EnvFrame) % alignof(Value) == 0,
               "slot array is stored in-place after the frame header");
 
+/// A suspended expression (call-by-name and call-by-need). Exactly one of
+/// the two environments is set: Env by the Direct interpreter (named
+/// chain), FEnv by the CEK machine (flat frames).
 struct Thunk {
   enum class State : uint8_t { Unforced, Forcing, Forced };
   const Expr *E;
   EnvNode *Env;
   State St;
   Value Memo; ///< Meaningful only when St == Forced.
-  EnvFrame *FEnv = nullptr; ///< Flat-frame counterpart of Env.
+  EnvFrame *FEnv = nullptr;
 };
 
 //===----------------------------------------------------------------------===//

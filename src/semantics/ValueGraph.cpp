@@ -36,8 +36,9 @@ enum : uint8_t {
   ValCompiledClosure = 11,
 };
 
-// Closure env-union discriminants on the wire.
-enum : uint8_t { EnvNone = 0, EnvNamed = 1, EnvFlat = 2 };
+// Closure env discriminants on the wire. 1 was the named-chain env of a
+// closure over EnvNodes, which no writer produces any more.
+enum : uint8_t { EnvNone = 0, EnvFlat = 2 };
 
 constexpr uint8_t kMaxPrim1 = static_cast<uint8_t>(Prim1Op::Abs);
 constexpr uint8_t kMaxPrim2 = static_cast<uint8_t>(Prim2Op::Max);
@@ -161,19 +162,14 @@ void ValueGraphWriter::emit(const Pending &P) {
   case ObjClosure: {
     const Closure *C = static_cast<const Closure *>(P.Ptr);
     encodeExprRef(Objects, C->L);
-    if (LexicalEnvs) {
-      Objects.writeU8(C->FEnv ? EnvFlat : EnvNone);
-      Objects.writeU32(idOfEnvFrame(C->FEnv));
-    } else {
-      Objects.writeU8(C->Env ? EnvNamed : EnvNone);
-      Objects.writeU32(idOfEnvNode(C->Env));
-    }
+    Objects.writeU8(C->FEnv ? EnvFlat : EnvNone);
+    Objects.writeU32(idOfEnvFrame(C->FEnv));
     return;
   }
   case ObjThunk: {
     const Thunk *T = static_cast<const Thunk *>(P.Ptr);
     encodeExprRef(Objects, T->E);
-    Objects.writeU32(idOfEnvNode(T->Env));
+    Objects.writeU32(0); // Reserved: the named-chain env, always absent.
     Objects.writeU32(idOfEnvFrame(T->FEnv));
     Objects.writeU8(static_cast<uint8_t>(T->St));
     encodeValue(Objects, T->Memo);
@@ -477,10 +473,11 @@ bool ValueGraphReader::readObjects() {
         D.fail("closure body id is not a lambda in checkpoint");
         return false;
       }
-      if (R.Byte == EnvFlat)
-        new (R.Obj) Closure(L, static_cast<EnvFrame *>(objAt(R.B, ObjEnvFrame)));
-      else
-        new (R.Obj) Closure(L, static_cast<EnvNode *>(objAt(R.B, ObjEnvNode)));
+      if (R.Byte != EnvFlat && R.Byte != EnvNone) {
+        D.fail("closure environment kind out of range in checkpoint");
+        return false;
+      }
+      new (R.Obj) Closure(L, static_cast<EnvFrame *>(objAt(R.B, ObjEnvFrame)));
       break;
     }
     case ObjThunk: {
@@ -493,8 +490,12 @@ bool ValueGraphReader::readObjects() {
         D.fail("thunk state out of range in checkpoint");
         return false;
       }
-      new (R.Obj) Thunk{E, static_cast<EnvNode *>(objAt(R.B, ObjEnvNode)),
-                        static_cast<Thunk::State>(R.Byte), decode(R.V1),
+      if (R.B != 0) {
+        D.fail("thunk environment out of range in checkpoint");
+        return false;
+      }
+      new (R.Obj) Thunk{E, nullptr, static_cast<Thunk::State>(R.Byte),
+                        decode(R.V1),
                         static_cast<EnvFrame *>(objAt(R.C, ObjEnvFrame))};
       break;
     }

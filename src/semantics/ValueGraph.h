@@ -86,10 +86,9 @@ public:
   /// \p Exprs may be null for graphs that never reference syntax (the VM's
   /// heap); encountering a closure or thunk then marks the writer failed.
   /// \p Shapes likewise may be null when no flat frames can occur.
-  /// \p LexicalEnvs selects which member of Closure's env union is live.
-  ValueGraphWriter(const ExprTable *Exprs, FrameShapeTable Shapes,
-                   bool LexicalEnvs)
-      : Exprs(Exprs), Shapes(Shapes), LexicalEnvs(LexicalEnvs) {}
+  /// Closures and thunks are the CEK machine's, over flat frames.
+  ValueGraphWriter(const ExprTable *Exprs, FrameShapeTable Shapes)
+      : Exprs(Exprs), Shapes(Shapes) {}
 
   /// The root stream: machines interleave their own scalars (frame kinds,
   /// mode bytes, ...) with encoded references here.
@@ -130,7 +129,6 @@ private:
 
   const ExprTable *Exprs;
   FrameShapeTable Shapes;
-  bool LexicalEnvs;
   Serializer Roots;
   Serializer Objects;
   std::unordered_map<const void *, uint32_t> ObjectIds;

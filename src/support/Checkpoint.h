@@ -158,7 +158,10 @@ enum class CheckpointBackend : uint8_t { CEK = 0, VM = 1 };
 struct CheckpointHeader {
   CheckpointBackend Backend = CheckpointBackend::CEK;
   uint8_t Strategy = 0; ///< monsem::Strategy as a raw byte.
-  bool Lexical = false; ///< CEK only: flat-frame vs named-chain envs.
+  /// Header byte 10. Written 1 by the CEK machine (flat frames) and 0 by
+  /// the VM. A CEK checkpoint with 0 came from the named-environment
+  /// machine, which is gone; the CEK machine refuses it.
+  bool Lexical = false;
   bool Monitored = false;
   /// Structural fingerprint of the program (AST for the CEK machine,
   /// disassembly for the VM); resume refuses a mismatched program.

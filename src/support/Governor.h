@@ -2,8 +2,8 @@
 ///
 /// \file
 /// A uniform resource-governance layer shared by every evaluator (the CEK
-/// machine in both environment representations, the direct CPS
-/// interpreter, the bytecode VM, and the imperative machine).
+/// machine, the direct CPS interpreter, the bytecode VMs, and the
+/// imperative machine).
 ///
 /// The paper's soundness theorem (Thm. 7.7) speaks about runs that reach an
 /// answer; a production monitoring runtime also has to deal with runs that

@@ -200,7 +200,8 @@ public:
 
   /// Where the resolver (analysis/Resolver.h) located this variable.
   enum class AddrKind : uint8_t {
-    Unresolved, ///< Resolver has not run; evaluators use the named chain.
+    Unresolved, ///< Resolver has not run (the Direct interpreter, which
+                ///< looks names up in its chain, never needs it to).
     Local,      ///< User binding: FrameDepth frames up, slot SlotIndex.
     Global,     ///< Initial-environment primitive: slot SlotIndex there.
     Unbound     ///< Statically unbound; evaluation fails when reached.

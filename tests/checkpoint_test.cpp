@@ -276,6 +276,23 @@ Checkpoint interruptedCheckpoint(const EvalMode &Mode, std::string_view Src,
 constexpr std::string_view kLoopSrc =
     "letrec loop = lambda k. if k < 1 then 7 else loop (k - 1) in loop 1000";
 
+/// \p CK with header byte \p At set to \p Val and the FNV-1a trailer (the
+/// hash of every preceding byte) recomputed, so it passes the integrity
+/// check the way a file written that way would.
+Checkpoint withHeaderByte(const Checkpoint &CK, size_t At, uint8_t Val) {
+  std::vector<uint8_t> Bytes = CK.bytes();
+  EXPECT_GT(Bytes.size(), At + 8);
+  Bytes[At] = Val;
+  size_t Body = Bytes.size() - 8;
+  uint64_t Hash = fnv1aHash(Bytes.data(), Body);
+  for (int I = 0; I < 8; ++I)
+    Bytes[Body + I] = static_cast<uint8_t>(Hash >> (8 * I));
+  std::string Err;
+  Checkpoint Patched = Checkpoint::fromBytes(std::move(Bytes), Err);
+  EXPECT_TRUE(Patched.valid()) << Err;
+  return Patched;
+}
+
 } // namespace
 
 TEST(CheckpointReject, DifferentProgram) {
@@ -349,18 +366,9 @@ TEST(CheckpointCompat, ReservedHeaderByteIsIgnored) {
   constexpr size_t kReservedByte = 12;
   for (BackendTag B : {kCEK, kVM, kVMReg}) {
     Checkpoint CK = interruptedCheckpoint(EvalMode(B), kLoopSrc);
-    std::vector<uint8_t> Bytes = CK.bytes();
-    ASSERT_GT(Bytes.size(), kReservedByte + 8);
-    EXPECT_EQ(Bytes[kReservedByte], 0);
-    Bytes[kReservedByte] = 1;
-    // Re-seal: the trailer is the FNV-1a hash of every preceding byte.
-    size_t Body = Bytes.size() - 8;
-    uint64_t Hash = fnv1aHash(Bytes.data(), Body);
-    for (int I = 0; I < 8; ++I)
-      Bytes[Body + I] = static_cast<uint8_t>(Hash >> (8 * I));
-    std::string Err;
-    Checkpoint Patched = Checkpoint::fromBytes(std::move(Bytes), Err);
-    ASSERT_TRUE(Patched.valid()) << Err;
+    EXPECT_EQ(CK.bytes()[kReservedByte], 0);
+    Checkpoint Patched = withHeaderByte(CK, kReservedByte, 1);
+    ASSERT_TRUE(Patched.valid());
 
     auto P = parseOk(kLoopSrc);
     RunResult Plain = evaluate(EvalMode(B) & resumeFrom(CK), P->root());
@@ -369,6 +377,34 @@ TEST(CheckpointCompat, ReservedHeaderByteIsIgnored) {
     EXPECT_EQ(Old.St, Outcome::Ok) << Old.Error;
     EXPECT_EQ(Old.ValueText, Plain.ValueText);
     EXPECT_EQ(Old.Steps, Plain.Steps);
+  }
+}
+
+TEST(CheckpointCompat, NamedMachineCheckpointIsRefused) {
+  // Header byte 10 told the flat-frame CEK machine (1) from the
+  // named-environment one (0). Only the flat-frame machine is left: it
+  // still writes 1 and the VM still writes 0, so checkpoint bytes do not
+  // change, and a CEK checkpoint carrying 0 — one the named machine wrote
+  // — is refused with a clear error instead of being misread.
+  constexpr size_t kEnvByte = 10;
+  EXPECT_EQ(interruptedCheckpoint(EvalMode(kVM), kLoopSrc).bytes()[kEnvByte],
+            0);
+  auto P = parseOk(kLoopSrc);
+  CountingProfiler Count;
+  for (const EvalMode &Mode : {EvalMode(), EvalMode(Count)}) {
+    Checkpoint CK = interruptedCheckpoint(Mode, kLoopSrc);
+    EXPECT_EQ(CK.bytes()[kEnvByte], 1);
+    Checkpoint Old = withHeaderByte(CK, kEnvByte, 0);
+    ASSERT_TRUE(Old.valid());
+    RunResult R = evaluate(Mode & resumeFrom(Old), P->root());
+    EXPECT_EQ(R.St, Outcome::Error);
+    EXPECT_NE(R.Error.find("named-environment CEK machine"),
+              std::string::npos)
+        << R.Error;
+    // The unpatched checkpoint still resumes.
+    RunResult Good = evaluate(Mode & resumeFrom(CK), P->root());
+    EXPECT_EQ(Good.St, Outcome::Ok) << Good.Error;
+    EXPECT_EQ(Good.IntValue, 7);
   }
 }
 

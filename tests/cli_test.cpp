@@ -173,6 +173,54 @@ TEST(CliTest, PartialEvaluationRun) {
       << R.Output;
 }
 
+TEST(CliTest, PartialEvaluationPrintsWhatThePlainRunPrints) {
+  // Every sample, specialized first, prints exactly what it prints
+  // unspecialized, on the CEK machine and both VM tiers. The residuals of
+  // collect, quicksort and sort are trees only thanks to the specializer
+  // copying residual code it places twice.
+  const char *Files[] = {"ackermann.lam", "church.lam",    "collect.lam",
+                         "fac.lam",       "fib.lam",       "mergesort.lam",
+                         "primes.lam",    "quicksort.lam", "sort.lam"};
+  for (const char *File : Files) {
+    std::string Args = sample(File);
+    if (std::string(File) == "quicksort.lam")
+      Args += " --prelude";
+    for (const char *Backend : {"cek", "vm", "vm-reg"}) {
+      std::string Run = Args + " --backend=" + Backend;
+      CliResult Plain = runCli(Run);
+      CliResult PE = runCli(Run + " --pe");
+      EXPECT_EQ(Plain.ExitCode, 0) << File << " " << Backend << "\n"
+                                   << Plain.Output;
+      EXPECT_EQ(PE.ExitCode, Plain.ExitCode) << File << " " << Backend;
+      EXPECT_EQ(PE.Output, Plain.Output) << File << " " << Backend;
+    }
+  }
+}
+
+TEST(CliTest, DirectBackendRunsEveryStrategy) {
+  for (const char *S : {"strict", "name", "need"}) {
+    CliResult R = runCli(sample("church.lam") + " --backend=direct" +
+                         " --strategy=" + S);
+    EXPECT_EQ(R.ExitCode, 0) << S << ": " << R.Output;
+    EXPECT_EQ(R.Output, "12\n") << S;
+  }
+}
+
+TEST(CliTest, DirectBackendStopsInsteadOfOverflowingTheStack) {
+  // Profiling fib 18 nests more CPS calls than a default 8 MB stack holds:
+  // the stack guard ends the run with a depth stop (exit 7). On a bigger
+  // stack the call budget may stop it first (exit 3). Either way it is a
+  // structured stop with a partial profile, never a signal.
+  CliResult R = runCli(sample("fib.lam") + " --backend=direct --profile");
+  EXPECT_TRUE(R.ExitCode == 7 || R.ExitCode == 3) << R.Output;
+  EXPECT_NE(R.Output.find(R.ExitCode == 7 ? "stopped: depth-exceeded"
+                                          : "stopped: fuel-exhausted"),
+            std::string::npos)
+      << R.Output;
+  EXPECT_NE(R.Output.find("profile (partial): [fib -> "), std::string::npos)
+      << R.Output;
+}
+
 TEST(CliTest, LazyStrategy) {
   CliResult R = runCli(sample("church.lam") + " --strategy=need");
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
@@ -347,6 +395,26 @@ TEST(CliCheckpoint, InterruptAndResumeMatchesUninterrupted) {
   CliResult Straight = runCli(sample("fac.lam") + " --profile");
   // The answer and the monitor's final state must be exactly what the
   // uninterrupted run produces.
+  EXPECT_EQ(Resumed.Output, Straight.Output);
+  std::remove(Ck.c_str());
+}
+
+TEST(CliCheckpoint, PartialEvaluationResidualResumes) {
+  // sort.lam's residual is a tree only thanks to the specializer copying
+  // residual code it places twice. It checkpoints on flat frames like any
+  // program, and resuming the last periodic checkpoint ends exactly like
+  // the uninterrupted run.
+  std::string Ck = ::testing::TempDir() + "cli_pe_sort.ck";
+  std::remove(Ck.c_str());
+  std::string Args = sample("sort.lam") + " --pe --profile";
+  CliResult Straight = runCli(Args);
+  EXPECT_EQ(Straight.ExitCode, 0) << Straight.Output;
+  CliResult Periodic = runCli(Args + " --checkpoint-every-n-steps=40" +
+                              " --checkpoint-out=" + Ck);
+  EXPECT_EQ(Periodic.ExitCode, 0) << Periodic.Output;
+  EXPECT_EQ(Periodic.Output, Straight.Output);
+  CliResult Resumed = runCli(Args + " --resume=" + Ck);
+  EXPECT_EQ(Resumed.ExitCode, 0) << Resumed.Output;
   EXPECT_EQ(Resumed.Output, Straight.Output);
   std::remove(Ck.c_str());
 }

@@ -1,8 +1,10 @@
 //===- tests/direct_test.cpp - Definitional interpreter tests --------------===//
 //
 // Validates the literal transliteration of the paper's derivation: the
-// standard functional (Fig. 2), the monitoring derivation Gbar (Fig. 3),
-// double derivation (Fig. 5), and agreement with the CEK machine.
+// standard functional (Fig. 2) under all three strategies, the monitoring
+// derivation Gbar (Fig. 3), double derivation (Fig. 5), agreement with the
+// CEK machine, and the stack guard that turns C-stack exhaustion into a
+// governance stop.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +16,8 @@
 #include "RandomProgram.h"
 
 #include <gtest/gtest.h>
+
+#include <pthread.h>
 
 using namespace monsem;
 
@@ -108,6 +112,87 @@ TEST(DirectTest, FixpointSharesDerivedBehaviorAtAllLevels) {
   EXPECT_EQ(CallProfiler::state(*R.FinalStates[0]).count("down"), 8u);
 }
 
+TEST(DirectTest, CallByNeedMemoizesAndCallByNameDoesNot) {
+  // The operand's probe fires each time the operand is evaluated: once
+  // under strict (before the call), twice under call-by-name (once per
+  // use), once under call-by-need (memoized). The CEK machine agrees.
+  auto P = parseOk("(lambda x. x + x) ({A}: 5)");
+  CountingProfiler Count;
+  Cascade C = cascadeOf({&Count});
+  const char *Want[] = {"<1, 0>", "<2, 0>", "<1, 0>"};
+  int I = 0;
+  for (Strategy S :
+       {Strategy::Strict, Strategy::CallByName, Strategy::CallByNeed}) {
+    RunResult D = evaluate(EvalMode(C) & kDirect & StrategyTag{S}, P->root());
+    RunResult M = evaluate(EvalMode(C) & StrategyTag{S}, P->root());
+    ASSERT_TRUE(D.Ok) << D.Error;
+    ASSERT_TRUE(M.Ok) << M.Error;
+    EXPECT_EQ(D.IntValue, 10);
+    EXPECT_EQ(D.FinalStates[0]->str(), Want[I]) << strategyName(S);
+    EXPECT_EQ(M.FinalStates[0]->str(), Want[I]) << strategyName(S);
+    ++I;
+  }
+}
+
+namespace {
+
+// A profiled recursion that never ends: with no call budget, only the
+// stack guard can stop it, however big the stack is.
+const char *DeepProfiledSrc =
+    "letrec up = lambda n. {up}: 1 + up (n + 1) in up 0";
+
+RunResult runDeepUnbudgeted() {
+  auto P = parseOk(DeepProfiledSrc);
+  CallProfiler Prof;
+  Cascade C = cascadeOf({&Prof});
+  DirectOptions Opts;
+  Opts.CallBudget = 0; // Only the stack guard bounds the run.
+  return runDirect(P->root(), &C, Opts);
+}
+
+} // namespace
+
+TEST(DirectTest, StackGuardStopsDeepRunsWithoutCrashing) {
+  RunResult R = runDeepUnbudgeted();
+  EXPECT_EQ(R.St, Outcome::DepthExceeded);
+  // The partial profile is still reported.
+  ASSERT_EQ(R.FinalStates.size(), 1u);
+  EXPECT_GT(CallProfiler::state(*R.FinalStates[0]).count("up"), 0u);
+
+  // fib.lam, profiled, under the default budget: the guard or the budget
+  // stops it (which comes first depends on the stack size), never a
+  // signal.
+  auto P = parseOk("letrec fib = lambda n. {fib}: if n < 2 then n else "
+                   "fib (n - 1) + fib (n - 2) in fib 18");
+  CallProfiler Prof;
+  Cascade C = cascadeOf({&Prof});
+  RunResult Fib = runDirect(P->root(), &C);
+  EXPECT_TRUE(Fib.St == Outcome::DepthExceeded ||
+              Fib.St == Outcome::FuelExhausted)
+      << outcomeName(Fib.St);
+}
+
+TEST(DirectTest, StackGuardHonorsASmallThreadStack) {
+  // The guard reads the bounds of the thread it runs on, so a worker with
+  // a 1 MB stack stops early instead of overflowing.
+  pthread_attr_t Attr;
+  pthread_attr_init(&Attr);
+  pthread_attr_setstacksize(&Attr, size_t(1) << 20);
+  RunResult R;
+  pthread_t T;
+  ASSERT_EQ(pthread_create(
+                &T, &Attr,
+                [](void *Out) -> void * {
+                  *static_cast<RunResult *>(Out) = runDeepUnbudgeted();
+                  return nullptr;
+                },
+                &R),
+            0);
+  pthread_join(T, nullptr);
+  pthread_attr_destroy(&Attr);
+  EXPECT_EQ(R.St, Outcome::DepthExceeded);
+}
+
 // Differential: direct CPS vs CEK machine over generated programs.
 class DirectDifferentialTest : public ::testing::TestWithParam<unsigned> {};
 
@@ -115,7 +200,7 @@ TEST_P(DirectDifferentialTest, AgreesWithMachine) {
   AstContext Ctx;
   const Expr *Prog = monsem::testing::genProgram(Ctx, GetParam());
   RunResult Direct = runDirect(Prog, nullptr, /*CallBudget=*/12000);
-  if (Direct.FuelExhausted)
+  if (Direct.stoppedByGovernor())
     GTEST_SKIP() << "program too large for the CPS reference interpreter";
   RunOptions Opts;
   Opts.MaxSteps = 1000000;

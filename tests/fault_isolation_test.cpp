@@ -50,14 +50,6 @@ FaultInjector::Config throwAlways() {
   return C;
 }
 
-RunOptions optionsFor(Strategy S, bool Lexical) {
-  RunOptions Opts;
-  Opts.Strat = S;
-  Opts.Lexical = Lexical;
-  Opts.MaxSteps = 500000;
-  return Opts;
-}
-
 /// A monitor whose pre hook throws on its first \p Fails probes, then
 /// counts normally — the transient-failure shape RetryThenQuarantine is
 /// for.
@@ -123,13 +115,12 @@ TEST(FaultIsolationTest, QuarantinePreservesTheAnswerOnEveryMachineVariant) {
 
   for (Strategy S :
        {Strategy::Strict, Strategy::CallByName, Strategy::CallByNeed}) {
-    for (bool Lexical : {false, true}) {
-      RunOptions Opts = optionsFor(S, Lexical);
-      RunResult Std = evaluate(P->root(), Opts);
+    // The CEK machine and its reference, the Direct interpreter.
+    for (BackendTag B : {kCEK, kDirect}) {
+      EvalMode Mode = EvalMode(B) & StrategyTag{S} & maxSteps(500000);
+      RunResult Std = evaluate(Mode, P->root());
       ASSERT_TRUE(Std.Ok) << Std.Error;
 
-      EvalMode Mode = StrategyTag{S} & (Lexical ? kLexicalEnv : kNamedEnv) &
-                      maxSteps(500000);
       // Fault-free monitored run, for the untouched monitor's state.
       Cascade Clean;
       Clean.use(Count).use(Prof);
@@ -140,7 +131,7 @@ TEST(FaultIsolationTest, QuarantinePreservesTheAnswerOnEveryMachineVariant) {
       RunResult Mon = evaluate(Mode & Inj & Prof, P->root());
 
       EXPECT_TRUE(Mon.sameOutcome(Std))
-          << strategyName(S) << " lexical=" << Lexical
+          << strategyName(S) << " backend=" << static_cast<int>(B.B)
           << ": std=" << Std.ValueText
           << " mon=" << (Mon.Ok ? Mon.ValueText : Mon.Error);
       EXPECT_EQ(Mon.IntValue, 720);

@@ -148,20 +148,17 @@ TEST(GovernorTest, DepthBoundSurfacesAsDepthExceeded) {
 TEST(GovernorTest, DeterministicLimitsReproduceExactly) {
   for (const char *Src : {LoopSrc, DeepSrc}) {
     auto P = parseOk(Src);
-    for (bool Lexical : {false, true}) {
-      RunOptions Opts;
-      Opts.Lexical = Lexical;
-      Opts.Limits.MaxSteps = 5000;
-      Opts.Limits.MaxArenaBytes = 1 << 14;
-      Opts.Limits.MaxDepth = 400;
-      Opts.Limits.CheckInterval = 32;
-      RunResult A = evaluate(P->root(), Opts);
-      RunResult B = evaluate(P->root(), Opts);
-      EXPECT_EQ(A.St, B.St);
-      EXPECT_EQ(A.Steps, B.Steps);
-      EXPECT_TRUE(A.sameOutcome(B));
-      EXPECT_TRUE(A.stoppedByGovernor());
-    }
+    RunOptions Opts;
+    Opts.Limits.MaxSteps = 5000;
+    Opts.Limits.MaxArenaBytes = 1 << 14;
+    Opts.Limits.MaxDepth = 400;
+    Opts.Limits.CheckInterval = 32;
+    RunResult A = evaluate(P->root(), Opts);
+    RunResult B = evaluate(P->root(), Opts);
+    EXPECT_EQ(A.St, B.St);
+    EXPECT_EQ(A.Steps, B.Steps);
+    EXPECT_TRUE(A.sameOutcome(B));
+    EXPECT_TRUE(A.stoppedByGovernor());
   }
 }
 
@@ -297,23 +294,20 @@ TEST(GovernorTest, RandomProgramsUnderTightLimitsNeverCrash) {
     ASSERT_NE(Prog, nullptr);
     for (Strategy S :
          {Strategy::Strict, Strategy::CallByName, Strategy::CallByNeed}) {
-      for (bool Lexical : {false, true}) {
-        RunOptions Opts;
-        Opts.Strat = S;
-        Opts.Lexical = Lexical;
-        Opts.Limits.MaxSteps = 2000;
-        Opts.Limits.MaxArenaBytes = 1 << 15;
-        Opts.Limits.MaxDepth = 256;
-        Opts.Limits.CheckInterval = 64;
-        RunResult A = evaluate(Prog, Opts);
-        EXPECT_TRUE(A.St == Outcome::Ok || A.St == Outcome::Error ||
-                    A.stoppedByGovernor())
-            << "seed " << Seed << ": " << outcomeName(A.St);
-        // Deterministic: the governed run reproduces exactly.
-        RunResult B = evaluate(Prog, Opts);
-        EXPECT_EQ(A.St, B.St) << "seed " << Seed;
-        EXPECT_EQ(A.Steps, B.Steps) << "seed " << Seed;
-      }
+      RunOptions Opts;
+      Opts.Strat = S;
+      Opts.Limits.MaxSteps = 2000;
+      Opts.Limits.MaxArenaBytes = 1 << 15;
+      Opts.Limits.MaxDepth = 256;
+      Opts.Limits.CheckInterval = 64;
+      RunResult A = evaluate(Prog, Opts);
+      EXPECT_TRUE(A.St == Outcome::Ok || A.St == Outcome::Error ||
+                  A.stoppedByGovernor())
+          << "seed " << Seed << ": " << outcomeName(A.St);
+      // Deterministic: the governed run reproduces exactly.
+      RunResult B = evaluate(Prog, Opts);
+      EXPECT_EQ(A.St, B.St) << "seed " << Seed;
+      EXPECT_EQ(A.Steps, B.Steps) << "seed " << Seed;
     }
     // VM under the same limits.
     Cascade Empty;

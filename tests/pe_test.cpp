@@ -1,5 +1,6 @@
 //===- tests/pe_test.cpp - Partial evaluation (level 3) --------------------===//
 
+#include "analysis/Resolver.h"
 #include "interp/Eval.h"
 #include "monitors/Profiler.h"
 #include "monitors/Tracer.h"
@@ -112,6 +113,7 @@ TEST(PETest, SpecializeApplyMatchesFullApplication) {
   std::vector<const Expr *> Static = {ArgCtx.mkInt(10)};
   PEResult R = specializeApply(Out, P->root(), Static, 2);
   ASSERT_FALSE(R.GaveUp);
+  EXPECT_TRUE(resolveProgram(R.Residual)->ok()) << "residual is not a tree";
   // residual(b, c) == 10 + b * c.
   AstContext AppCtx;
   const Expr *App = AppCtx.mkApp(
@@ -220,6 +222,7 @@ TEST_P(PEDifferentialTest, ResidualPreservesAnswers) {
   PEOptions Opts;
   Opts.MaxSteps = 200000;
   PEResult R = partialEvaluate(Out, Prog, Opts);
+  EXPECT_TRUE(resolveProgram(R.Residual)->ok()) << "residual is not a tree";
   RunOptions RO;
   RO.MaxSteps = 1000000;
   RunResult Orig = evaluate(Prog, RO);

@@ -2,10 +2,12 @@
 //
 // Runs every shipped sample program (examples/programs) through all the
 // evaluators and checks they agree — an end-to-end differential test over
-// realistic programs rather than generated ones.
+// realistic programs rather than generated ones. The partially evaluated
+// residual of each sample must be a tree and run on every backend too.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Resolver.h"
 #include "compile/VM.h"
 #include "imp/ImpMachine.h"
 #include "imp/ImpParser.h"
@@ -13,6 +15,8 @@
 #include "interp/Eval.h"
 #include "monitors/Profiler.h"
 #include "pe/PartialEval.h"
+#include "syntax/Annotator.h"
+#include "syntax/Prelude.h"
 
 #include <gtest/gtest.h>
 
@@ -97,19 +101,39 @@ TEST_P(SampleProgramTest, AllEvaluatorsAgree) {
   ASSERT_TRUE(VM.Ok) << VM.Error;
   EXPECT_EQ(VM.ValueText, S.Expected);
 
-  // Direct CPS reference (may exhaust its C-stack budget on big samples).
+  // Direct CPS reference (may exhaust its call budget or its C stack on
+  // big samples; any governance stop skips the comparison).
   RunResult Direct = runDirect(P->root());
-  if (!Direct.FuelExhausted) {
+  if (!Direct.stoppedByGovernor()) {
     ASSERT_TRUE(Direct.Ok) << Direct.Error;
     EXPECT_EQ(Direct.ValueText, S.Expected);
   }
 
-  // Partial evaluation: the residual computes the same answer.
+  // Partial evaluation: the residual is a tree and computes the same
+  // answer on every backend and strategy.
   AstContext Out;
   PEResult PR = partialEvaluate(Out, P->root());
-  RunResult Res = evaluate(PR.Residual);
-  ASSERT_TRUE(Res.Ok) << S.File << ": " << Res.Error;
-  EXPECT_EQ(Res.ValueText, S.Expected);
+  ASSERT_TRUE(resolveProgram(PR.Residual)->ok()) << S.File;
+  for (Strategy St :
+       {Strategy::Strict, Strategy::CallByName, Strategy::CallByNeed}) {
+    RunResult R = evaluate(EvalMode(StrategyTag{St}) & maxSteps(3000000),
+                           PR.Residual);
+    if (St != Strategy::Strict && R.FuelExhausted)
+      continue;
+    ASSERT_TRUE(R.Ok) << S.File << " residual under " << strategyName(St)
+                      << ": " << R.Error;
+    EXPECT_EQ(R.ValueText, S.Expected);
+  }
+  for (BackendTag B : {kVM, kVMReg}) {
+    RunResult R = evaluate(EvalMode(B), PR.Residual);
+    ASSERT_TRUE(R.Ok) << S.File << " residual: " << R.Error;
+    EXPECT_EQ(R.ValueText, S.Expected);
+  }
+  RunResult ResDirect = runDirect(PR.Residual);
+  if (!ResDirect.stoppedByGovernor()) {
+    ASSERT_TRUE(ResDirect.Ok) << S.File << " residual: " << ResDirect.Error;
+    EXPECT_EQ(ResDirect.ValueText, S.Expected);
+  }
 }
 
 TEST_P(SampleProgramTest, MonitoredRunsAgree) {
@@ -125,6 +149,27 @@ TEST_P(SampleProgramTest, MonitoredRunsAgree) {
   RunResult VMMon = evaluateCompiled(C, P->root());
   ASSERT_TRUE(VMMon.Ok) << VMMon.Error;
   EXPECT_EQ(Mon.FinalStates[0]->str(), VMMon.FinalStates[0]->str());
+
+  // The partially evaluated program, with every function body annotated:
+  // the CEK machine, both VM tiers and (where it fits) the Direct
+  // interpreter report the same profile. (The profile need not equal the
+  // unspecialized program's: the specializer inlines let-bound residual
+  // code at every use, which repeats its probes — mergesort's `rest`.)
+  const Expr *Annotated =
+      annotateFunctionBodies(P->context(), P->root(), {});
+  AstContext Out;
+  const Expr *Residual = partialEvaluate(Out, Annotated).Residual;
+  RunResult PEMon = evaluate(C, Residual);
+  ASSERT_TRUE(PEMon.Ok) << PEMon.Error;
+  EXPECT_EQ(PEMon.ValueText, S.Expected);
+  for (BackendTag B : {kVM, kVMReg, kDirect}) {
+    RunResult Other = evaluate(EvalMode(C) & B, Residual);
+    if (B.B == Backend::Direct && Other.stoppedByGovernor())
+      continue;
+    ASSERT_TRUE(Other.Ok) << Other.Error;
+    EXPECT_EQ(Other.FinalStates[0]->str(), PEMon.FinalStates[0]->str())
+        << S.File << " residual on backend " << static_cast<int>(B.B);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, SampleProgramTest,
@@ -138,6 +183,43 @@ INSTANTIATE_TEST_SUITE_P(Corpus, SampleProgramTest,
                                C = '_';
                            return Name;
                          });
+
+TEST(PartialEvaluationCorpus, EveryResidualIsATree) {
+  // Every sample (quicksort included) x {plain, prelude} x {no monitor,
+  // every function annotated, coverage labels}: the residual the partial
+  // evaluator emits never shares a node, so the resolver accepts it.
+  const char *Files[] = {"fac", "fib", "sort", "collect", "church",
+                         "ackermann", "mergesort", "primes", "quicksort"};
+  unsigned Runs = 0;
+  for (const char *File : Files) {
+    for (bool Prelude : {false, true}) {
+      for (int Monitor = 0; Monitor < 3; ++Monitor) {
+        auto P = ParsedProgram::parse(
+            readFile(std::string("examples/programs/") + File + ".lam"));
+        ASSERT_TRUE(P->ok()) << File;
+        const Expr *Prog = P->root();
+        if (Prelude) {
+          DiagnosticSink Diags;
+          Prog = wrapWithPrelude(P->context(), Prog, Diags);
+          ASSERT_NE(Prog, nullptr) << Diags.str();
+        }
+        if (Monitor == 1)
+          Prog = annotateFunctionBodies(P->context(), Prog, {});
+        else if (Monitor == 2)
+          Prog = labelProgramPoints(P->context(), Prog, "p",
+                                    Symbol::intern("cover"));
+        ASSERT_TRUE(resolveProgram(Prog)->ok()) << File;
+        AstContext Out;
+        PEResult PR = partialEvaluate(Out, Prog);
+        EXPECT_TRUE(resolveProgram(PR.Residual)->ok())
+            << File << (Prelude ? " with prelude" : "") << ", monitor "
+            << Monitor;
+        ++Runs;
+      }
+    }
+  }
+  EXPECT_EQ(Runs, 54u);
+}
 
 TEST(ImpSampleTest, GcdProgram) {
   ImpContext Ctx;

@@ -33,19 +33,21 @@ constexpr uint64_t Fuel = 500000;
 constexpr int64_t kInlineMax = (int64_t{1} << 47) - 1;
 constexpr int64_t kInlineMin = -(int64_t{1} << 47);
 
-RunResult runCEK(const Expr *E, Strategy S, bool Lexical) {
+RunResult runCEK(const Expr *E, Strategy S) {
   RunOptions Opts;
   Opts.Strat = S;
   Opts.MaxSteps = Fuel;
-  Opts.Lexical = Lexical;
   return evaluate(E, Opts);
 }
 
-RunResult runMonitoredCEK(const Cascade &C, const Expr *E, Strategy S,
-                          bool Lexical) {
-  return evaluate(C & StrategyTag{S} & maxSteps(Fuel) &
-                      (Lexical ? kLexicalEnv : kNamedEnv),
-                  E);
+RunResult runMonitoredCEK(const Cascade &C, const Expr *E, Strategy S) {
+  return evaluate(C & StrategyTag{S} & maxSteps(Fuel), E);
+}
+
+/// The Direct interpreter under \p S, with a cascade when \p C is given.
+RunResult runDirectAt(const Cascade *C, const Expr *E, Strategy S) {
+  EvalMode M = C ? EvalMode(*C) : EvalMode();
+  return evaluate(M & kDirect & StrategyTag{S} & maxSteps(Fuel), E);
 }
 
 const Expr *parseInto(ParsedProgram &P, std::string_view Src) {
@@ -194,13 +196,14 @@ TEST(ValueReprTest, BoundaryGoldensAgreeOnEveryBackend) {
 
     for (Strategy S :
          {Strategy::Strict, Strategy::CallByName, Strategy::CallByNeed}) {
-      for (bool Lexical : {true, false}) {
-        RunResult R = runCEK(E, S, Lexical);
-        ASSERT_TRUE(R.Ok) << G.Src << ": " << R.Error;
-        EXPECT_EQ(R.ValueText, G.Expect)
-            << G.Src << " (CEK " << strategyName(S)
-            << (Lexical ? ", lexical)" : ", named)");
-      }
+      RunResult R = runCEK(E, S);
+      ASSERT_TRUE(R.Ok) << G.Src << ": " << R.Error;
+      EXPECT_EQ(R.ValueText, G.Expect)
+          << G.Src << " (CEK " << strategyName(S) << ")";
+      RunResult D = runDirectAt(nullptr, E, S);
+      ASSERT_TRUE(D.Ok) << G.Src << ": " << D.Error;
+      EXPECT_EQ(D.ValueText, G.Expect)
+          << G.Src << " (Direct " << strategyName(S) << ")";
     }
     // vm-aot degrades to vm-reg where no C compiler is available.
     for (BackendTag B : {kVM, kVMReg, kVMAot}) {
@@ -210,9 +213,6 @@ TEST(ValueReprTest, BoundaryGoldensAgreeOnEveryBackend) {
           << G.Src << " (backend " << static_cast<int>(B.B) << ")";
     }
 
-    RunResult Direct = evaluate(EvalMode(kDirect) & maxSteps(Fuel), E);
-    ASSERT_TRUE(Direct.Ok) << G.Src << ": " << Direct.Error;
-    EXPECT_EQ(Direct.ValueText, G.Expect) << G.Src << " (Direct)";
   }
 }
 
@@ -234,7 +234,7 @@ TEST(ValueReprTest, ImperativeModuleWrapsIntegerOverflow) {
 }
 
 //===----------------------------------------------------------------------===//
-// Random corpus: every evaluator, env rep, and strategy agrees.
+// Random corpus: every evaluator and strategy agrees.
 //===----------------------------------------------------------------------===//
 
 class ValueReprCorpus : public ::testing::TestWithParam<unsigned> {};
@@ -242,32 +242,28 @@ class ValueReprCorpus : public ::testing::TestWithParam<unsigned> {};
 TEST_P(ValueReprCorpus, UnmonitoredEvaluatorsAgree) {
   AstContext Ctx;
   const Expr *Prog = monsem::testing::genProgram(Ctx, GetParam());
-  RunResult Base = runCEK(Prog, Strategy::Strict, /*Lexical=*/true);
+  RunResult Base = runCEK(Prog, Strategy::Strict);
 
-  // Same strategy, other env representation: must agree outcome-for-
-  // outcome AND step-for-step (the machine transitions are the same; only
-  // the environment lookup differs).
-  RunResult Named = runCEK(Prog, Strategy::Strict, /*Lexical=*/false);
-  EXPECT_TRUE(Base.sameOutcome(Named)) << printExpr(Prog);
-  EXPECT_EQ(Base.Steps, Named.Steps) << printExpr(Prog);
-
-  // Lazy strategies on both env reps agree with each other (they may
-  // legitimately differ from strict on error outcomes).
+  // Lazy strategies agree with the Direct interpreter at the same strategy
+  // (they may legitimately differ from strict on error outcomes). The CPS
+  // budget is tighter than CEK fuel, so a governed Direct run is skipped.
   for (Strategy S : {Strategy::CallByName, Strategy::CallByNeed}) {
-    RunResult L = runCEK(Prog, S, /*Lexical=*/true);
-    RunResult N = runCEK(Prog, S, /*Lexical=*/false);
-    EXPECT_TRUE(L.sameOutcome(N))
-        << strategyName(S) << ": " << printExpr(Prog);
-    EXPECT_EQ(L.Steps, N.Steps) << strategyName(S) << ": " << printExpr(Prog);
+    RunResult L = runCEK(Prog, S);
+    RunResult D = runDirectAt(nullptr, Prog, S);
+    if (!L.stoppedByGovernor() && !D.stoppedByGovernor()) {
+      EXPECT_TRUE(L.sameOutcome(D))
+          << strategyName(S) << ": " << printExpr(Prog);
+    }
   }
 
   // The strict backends through the unified entry.
   RunResult VM = evaluate(EvalMode(kVM) & maxSteps(Fuel), Prog);
   EXPECT_TRUE(VM.sameOutcome(Base)) << "VM: " << printExpr(Prog);
 
-  RunResult Direct = evaluate(EvalMode(kDirect) & maxSteps(Fuel), Prog);
-  if (!Direct.FuelExhausted) // The CPS budget is tighter than CEK fuel.
+  RunResult Direct = runDirectAt(nullptr, Prog, Strategy::Strict);
+  if (!Direct.stoppedByGovernor()) { // The CPS budget is tighter than fuel.
     EXPECT_TRUE(Direct.sameOutcome(Base)) << "Direct: " << printExpr(Prog);
+  }
 }
 
 TEST_P(ValueReprCorpus, MonitoredStatesAgreeAcrossEvaluators) {
@@ -285,30 +281,31 @@ TEST_P(ValueReprCorpus, MonitoredStatesAgreeAcrossEvaluators) {
   Cascade C;
   C.use(Count);
 
-  RunResult Base = runMonitoredCEK(C, Prog, Strategy::Strict, true);
-  RunResult Named = runMonitoredCEK(C, Prog, Strategy::Strict, false);
-  EXPECT_TRUE(Base.sameOutcome(Named)) << printExpr(Prog);
-  EXPECT_EQ(stateOf(Base), stateOf(Named)) << printExpr(Prog);
+  RunResult Base = runMonitoredCEK(C, Prog, Strategy::Strict);
 
   RunResult VM = evaluate(EvalMode(Count) & kVM & maxSteps(Fuel), Prog);
   EXPECT_TRUE(VM.sameOutcome(Base)) << "VM: " << printExpr(Prog);
   EXPECT_EQ(stateOf(VM), stateOf(Base)) << "VM: " << printExpr(Prog);
 
-  RunResult Direct =
-      evaluate(EvalMode(Count) & kDirect & maxSteps(Fuel), Prog);
-  if (!Direct.FuelExhausted) {
+  RunResult Direct = runDirectAt(&C, Prog, Strategy::Strict);
+  if (!Direct.stoppedByGovernor()) {
     EXPECT_TRUE(Direct.sameOutcome(Base)) << "Direct: " << printExpr(Prog);
     EXPECT_EQ(stateOf(Direct), stateOf(Base)) << "Direct: " << printExpr(Prog);
   }
 
   // Lazy strategies: the monitored run agrees with its own unmonitored
-  // baseline (soundness), per env rep.
+  // baseline (soundness) and with the monitored Direct run.
   for (Strategy S : {Strategy::CallByName, Strategy::CallByNeed}) {
-    for (bool Lexical : {true, false}) {
-      RunResult Std = runCEK(Prog, S, Lexical);
-      RunResult Mon = runMonitoredCEK(C, Prog, S, Lexical);
-      EXPECT_TRUE(Mon.sameOutcome(Std))
-          << strategyName(S) << ": " << printExpr(Prog);
+    RunResult Std = runCEK(Prog, S);
+    RunResult Mon = runMonitoredCEK(C, Prog, S);
+    EXPECT_TRUE(Mon.sameOutcome(Std))
+        << strategyName(S) << ": " << printExpr(Prog);
+    RunResult D = runDirectAt(&C, Prog, S);
+    if (!Mon.stoppedByGovernor() && !D.stoppedByGovernor()) {
+      EXPECT_TRUE(Mon.sameOutcome(D))
+          << strategyName(S) << " Direct: " << printExpr(Prog);
+      EXPECT_EQ(stateOf(Mon), stateOf(D))
+          << strategyName(S) << " Direct: " << printExpr(Prog);
     }
   }
 }

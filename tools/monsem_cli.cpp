@@ -173,8 +173,11 @@ int usage(const char *Argv0) {
       << "    --backend=cek|vm|vm-reg|vm-aot|direct\n"
       << "                       evaluator: CEK machine (default), stack\n"
       << "                       bytecode VM, register bytecode VM, native\n"
-      << "                       code over the register tier, or the direct\n"
-      << "                       interpreter (VMs are strict only)\n"
+      << "                       code over the register tier (VMs are\n"
+      << "                       strict only), or the direct CPS interpreter:\n"
+      << "                       the reference for the others, every\n"
+      << "                       strategy, small programs only (it stops\n"
+      << "                       with exit 7 when its C stack runs out)\n"
       << "                       this build: " << backendAvailability() << "\n"
       << "    --aot-cache=DIR    vm-aot shared-object cache directory\n"
       << "                       (default: per-user under TMPDIR)\n"
