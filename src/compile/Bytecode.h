@@ -77,9 +77,10 @@ inline constexpr unsigned kNumOps = static_cast<unsigned>(Op::VarTailCall) + 1;
 /// One instruction. Still a single 8-byte word after fusion support:
 ///  - `Cost` is the number of *source-machine steps* this instruction
 ///    represents (1 for core ops, the sum of its constituents for fused
-///    ops). The VM advances its step counter by Cost, so monitored step
-///    counts, governor fuel accounting, and bench step-parity assertions
-///    are identical fused vs. unfused at every instruction boundary.
+///    ops). The register tier advances its step counter by Cost, so
+///    monitored step counts, governor fuel accounting, and bench
+///    step-parity assertions are identical fused vs. unfused at every
+///    instruction boundary.
 ///  - `B` is the secondary operand of fused instructions: the packed
 ///    prim2 op (low byte) and variable depth (high byte) for the
 ///    *Prim2 family, or the second variable depth for VarVar.
@@ -167,6 +168,14 @@ static_assert(static_cast<unsigned>(ROp::Halt) ==
 /// skips the letrec before-initialization check the env path performs.
 inline constexpr uint16_t kParamReg = 0xFFFF;
 
+/// The largest register index a window may use, so the static operand
+/// stack of one block holds at most kMaxRegister - 1 values (a leaf block
+/// keeps its parameter in register 0, below the temporaries).
+/// compileProgram refuses programs that need more, and binder depths of
+/// kParamReg or more, so the lowering accepts everything it compiles.
+inline constexpr uint32_t kMaxRegister = 0x7FFF;
+inline constexpr uint32_t kMaxOperandStack = kMaxRegister - 1;
+
 /// Entry stack heights are recorded per pc for checkpoint spill/restore;
 /// statically unreachable instructions (e.g. the join jump after a taken
 /// tail call) carry this sentinel.
@@ -196,8 +205,8 @@ static_assert(sizeof(RInstr) == 16, "RInstr must stay two machine words");
 /// probes; never the entry block) keep their parameter in register 0 and
 /// allocate no environment node per call — the environment chain is
 /// materialized on demand only at checkpoint safepoints. Non-leaf blocks
-/// maintain the same environment chain as the stack VM, so probes observe
-/// the paper's environment unchanged.
+/// maintain the full environment chain, one node per binder, so probes
+/// observe the paper's environment unchanged.
 struct RegBlock {
   std::vector<RInstr> Code;
   /// Entry stack height per pc (kDeadHeight for unreachable pcs). Used by

@@ -77,13 +77,28 @@ private:
   }
 
   void compileInto(uint32_t Block, const Expr *Top) {
-    compileExpr(Block, Top, /*Tail=*/true);
+    compileExpr(Block, Top, /*Tail=*/true, /*H=*/0);
   }
 
-  /// Compiles \p E into \p Block; when \p Tail, the expression's value is
-  /// the block's result (calls become TailCall; the caller then emits
-  /// Ret/Halt after the block body).
-  void compileExpr(uint32_t Block, const Expr *E, bool Tail) {
+  /// Every push happens at a leaf (Const, Var, MkClosure), so checking the
+  /// height there bounds the block's whole operand stack: the register
+  /// tier gives each stack slot its own register.
+  bool pushFits(const Expr *E, uint32_t H) {
+    if (H < kMaxOperandStack)
+      return true;
+    Diags.error(E->loc(), "expression needs more than " +
+                              std::to_string(kMaxOperandStack) +
+                              " pending operands; the register encoding "
+                              "holds at most that many");
+    Failed = true;
+    return false;
+  }
+
+  /// Compiles \p E into \p Block with \p H values already on the block's
+  /// operand stack; when \p Tail, the expression's value is the block's
+  /// result (calls become TailCall; the caller then emits Ret/Halt after
+  /// the block body).
+  void compileExpr(uint32_t Block, const Expr *E, bool Tail, uint32_t H) {
     if (Failed)
       return;
     switch (E->kind()) {
@@ -104,13 +119,25 @@ private:
         V = Value::mkNil();
         break;
       }
-      emit(Block, Op::Const, addConst(V));
+      if (pushFits(E, H))
+        emit(Block, Op::Const, addConst(V));
       return;
     }
     case ExprKind::Var: {
       const auto *V = cast<VarExpr>(E);
+      if (!pushFits(E, H))
+        return;
       switch (V->Addr) {
       case VarExpr::AddrKind::Local:
+        if (V->BinderDepth >= kParamReg) {
+          Diags.error(E->loc(), "variable '" + std::string(V->Name.str()) +
+                                    "' is bound more than " +
+                                    std::to_string(kParamReg - 1) +
+                                    " binders out; the register encoding "
+                                    "reaches at most that far");
+          Failed = true;
+          return;
+        }
         emit(Block, Op::Var, V->BinderDepth);
         return;
       case VarExpr::AddrKind::Global:
@@ -130,56 +157,58 @@ private:
     }
     case ExprKind::Lam: {
       const auto *L = cast<LamExpr>(E);
+      if (!pushFits(E, H))
+        return;
       uint32_t Sub = static_cast<uint32_t>(Prog->Blocks.size());
       Prog->Blocks.emplace_back();
       Prog->Blocks[Sub].Param = L->Param;
       Prog->Blocks[Sub].Name = "lambda " + std::string(L->Param.str());
-      compileExpr(Sub, L->Body, /*Tail=*/true);
+      compileExpr(Sub, L->Body, /*Tail=*/true, /*H=*/0);
       emit(Sub, Op::Ret);
       emit(Block, Op::MkClosure, Sub);
       return;
     }
     case ExprKind::If: {
       const auto *I = cast<IfExpr>(E);
-      compileExpr(Block, I->Cond, /*Tail=*/false);
+      compileExpr(Block, I->Cond, /*Tail=*/false, H);
       size_t JF = here(Block);
       emit(Block, Op::JumpIfFalse);
-      compileExpr(Block, I->Then, Tail);
+      compileExpr(Block, I->Then, Tail, H);
       size_t J = here(Block);
       emit(Block, Op::Jump);
       patch(Block, JF, static_cast<uint32_t>(here(Block)));
-      compileExpr(Block, I->Else, Tail);
+      compileExpr(Block, I->Else, Tail, H);
       patch(Block, J, static_cast<uint32_t>(here(Block)));
       return;
     }
     case ExprKind::App: {
       const auto *A = cast<AppExpr>(E);
       // Paper order: operand, then operator.
-      compileExpr(Block, A->Arg, /*Tail=*/false);
-      compileExpr(Block, A->Fn, /*Tail=*/false);
+      compileExpr(Block, A->Arg, /*Tail=*/false, H);
+      compileExpr(Block, A->Fn, /*Tail=*/false, H + 1);
       emit(Block, Tail && Opts.TailCalls ? Op::TailCall : Op::Call);
       return;
     }
     case ExprKind::Letrec: {
       const auto *L = cast<LetrecExpr>(E);
       emit(Block, Op::PushRecEnv, addName(L->Name));
-      compileExpr(Block, L->Bound, /*Tail=*/false);
+      compileExpr(Block, L->Bound, /*Tail=*/false, H);
       emit(Block, Op::PatchRec);
-      compileExpr(Block, L->Body, Tail);
+      compileExpr(Block, L->Body, Tail, H);
       if (!Tail)
         emit(Block, Op::PopEnv, 1);
       return;
     }
     case ExprKind::Prim1: {
       const auto *P = cast<Prim1Expr>(E);
-      compileExpr(Block, P->Arg, /*Tail=*/false);
+      compileExpr(Block, P->Arg, /*Tail=*/false, H);
       emit(Block, Op::Prim1, static_cast<uint32_t>(P->Op));
       return;
     }
     case ExprKind::Prim2: {
       const auto *P = cast<Prim2Expr>(E);
-      compileExpr(Block, P->Lhs, /*Tail=*/false);
-      compileExpr(Block, P->Rhs, /*Tail=*/false);
+      compileExpr(Block, P->Lhs, /*Tail=*/false, H);
+      compileExpr(Block, P->Rhs, /*Tail=*/false, H + 1);
       emit(Block, Op::Prim2, static_cast<uint32_t>(P->Op));
       return;
     }
@@ -187,7 +216,7 @@ private:
       const auto *N = cast<AnnotExpr>(E);
       if (!Opts.Instrument) {
         // Compile-time obliviousness (Definition 7.1).
-        compileExpr(Block, N->Inner, Tail);
+        compileExpr(Block, N->Inner, Tail, H);
         return;
       }
       uint32_t Probe = addProbe(N->Ann, N->Inner);
@@ -195,7 +224,7 @@ private:
       // The post probe must run after the value is produced, so the inner
       // expression is not in tail position (same as the CEK machine's
       // MonPost frame).
-      compileExpr(Block, N->Inner, /*Tail=*/false);
+      compileExpr(Block, N->Inner, /*Tail=*/false, H);
       emit(Block, Op::MonPost, Probe);
       return;
     }

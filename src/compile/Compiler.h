@@ -28,8 +28,10 @@ struct CompileOptions {
 };
 
 /// Compiles \p Program. Returns nullptr (with diagnostics) for programs
-/// with unbound non-primitive variables and for programs that share
-/// syntax nodes (kSharedNodesError; see analysis/Resolver.h).
+/// with unbound non-primitive variables, for programs that share syntax
+/// nodes (kSharedNodesError; see analysis/Resolver.h), and for programs
+/// the register tier cannot encode: more than kMaxOperandStack pending
+/// operands in one block, or a variable kParamReg or more binders out.
 std::unique_ptr<CompiledProgram> compileProgram(const Expr *Program,
                                                 DiagnosticSink &Diags,
                                                 CompileOptions Opts = {});
@@ -51,9 +53,9 @@ void markReusableFrames(CompiledProgram &P);
 /// from the static stack height at every pc, producing exactly one RInstr
 /// per stack instruction at the same (block, pc) with the same Cost. The
 /// returned program borrows \p P (constants, names, probes), which must
-/// outlive it. Returns nullptr when a block exceeds the register-operand
-/// encoding limits (pathological nesting depth) — callers fall back to the
-/// stack tier.
+/// outlive it. Never returns nullptr for a program compileProgram
+/// produced; hand-built bytecode with inconsistent stack heights or
+/// operands beyond the register encoding gets nullptr.
 std::unique_ptr<RegProgram> lowerToRegisters(const CompiledProgram &P);
 
 } // namespace monsem

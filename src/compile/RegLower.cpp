@@ -7,8 +7,14 @@
 /// calls), so the slot pushed at height h always lives in register
 /// TempBase + h of the current frame window. Lowering is 1:1 — one RInstr
 /// per Instr at the same pc with the same Cost — which keeps step counts,
-/// probe positions, and checkpoint (block, pc) coordinates identical to
-/// the stack tier.
+/// probe positions, and checkpoint (block, pc) coordinates those of the
+/// stack bytecode, the canonical form checkpoints are written in.
+///
+/// The register tier is the only executor of compiled bytecode, so this
+/// pass must accept everything compileProgram emits: the compiler refuses
+/// programs whose operand stack or binder depth exceeds the encoding
+/// (kMaxOperandStack, kParamReg), and the checks below only reject
+/// hand-built bytecode.
 ///
 /// Leaf blocks (no MkClosure, no PushRecEnv, no probes; never the entry)
 /// additionally keep their parameter in register 0 instead of an
@@ -105,7 +111,7 @@ std::vector<uint16_t> computeHeights(const CodeBlock &B, bool IsEntry) {
   if (IsEntry)
     H[B.Code.size() - 1] = 1;
   auto Merge = [&](size_t Pc, unsigned Height) {
-    if (Pc >= B.Code.size() || Height > 0x7FFF)
+    if (Pc >= B.Code.size() || Height > kMaxRegister)
       return false;
     if (H[Pc] == kDeadHeight) {
       H[Pc] = static_cast<uint16_t>(Height);
@@ -340,7 +346,7 @@ private:
         Peak = TB + H + 2; // Writes D and D+1.
       if (Peak > MaxReg)
         MaxReg = Peak;
-      if (Peak > 0x7FFF)
+      if (Peak > kMaxRegister)
         return false;
       Out.Code.push_back(R);
     }

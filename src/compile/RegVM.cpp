@@ -1,16 +1,19 @@
 //===- compile/RegVM.cpp - Register-window virtual machine ----------------===//
 ///
 /// \file
-/// Executes register-tier programs (see RegLower.cpp). The machine keeps
-/// one contiguous Value array partitioned into per-call register windows;
-/// leaf calls write the argument to register 0 of a fresh window instead
-/// of allocating an environment node. Everything observable is identical
-/// to the stack VM: step counts (Cost accounting at the same pcs), probe
-/// event streams (probes run only in blocks that keep the full environment
-/// chain), governor pause points, and the MSCK checkpoint format — a
-/// checkpoint spills register windows back to the canonical flat operand
-/// stack + environment form, so checkpoints are portable across tiers in
-/// both directions.
+/// Executes register-tier programs (see RegLower.cpp): every compiled
+/// program runs here (`--backend=vm` and `--backend=vm-reg`), or in the
+/// native trampoline of AotRun.cpp, which shares this machine's state and
+/// handlers. The machine keeps one contiguous Value array partitioned into
+/// per-call register windows; leaf calls write the argument to register 0
+/// of a fresh window instead of allocating an environment node. Step
+/// counts follow the stack bytecode's Cost accounting at the same pcs,
+/// probe event streams match the CEK machine's (probes run only in blocks
+/// that keep the full environment chain), and a checkpoint spills the
+/// register windows to the canonical MSCK form — a flat operand stack plus
+/// environment chain at stack-bytecode coordinates — so checkpoints are
+/// portable across vm, vm-reg and vm-aot, and readable from any earlier
+/// writer of that form.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,9 +37,11 @@ private:
   RunResult runThreaded(Governor &Gov);
 };
 
-/// Token-threaded dispatch, mirroring the stack VM's; Cost accounting and
-/// governor behavior are the stack VM's, down to checkpoint rollback of the
-/// fetched instruction.
+/// Token-threaded dispatch (computed goto, a GNU extension GCC and Clang
+/// support). `Steps` advances by each instruction's Cost, so fused and
+/// unfused programs report identical step counts at every instruction
+/// boundary; a checkpoint rolls back the fetched-but-unexecuted
+/// instruction.
 RunResult RegVM::runThreaded(Governor &Gov) {
   static const void *Tbl[] = {
       &&L_Const,      &&L_Var,           &&L_MkClosure,
@@ -76,9 +81,8 @@ Dispatch:
   if (Steps >= Gov.nextPause())
     goto Pause;
   goto *Tbl[static_cast<unsigned>(I.Code)];
-// Unlike the stack VM, VM_NEXT replicates the fetch into every handler
-// instead of jumping back to a single dispatch point: each opcode gets its
-// own indirect branch, so the BTB can correlate successor opcodes per
+// VM_NEXT replicates the fetch into every handler instead of jumping back
+// to a single dispatch point: each opcode gets its own indirect branch, so the BTB can correlate successor opcodes per
 // handler rather than funneling every prediction through one slot.
 #define VM_CASE(Name) L_##Name:
 #define VM_NEXT()                                                              \

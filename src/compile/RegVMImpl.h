@@ -2,10 +2,12 @@
 ///
 /// \file
 /// The register-window virtual machine's state, call protocol, and
-/// checkpoint logic, shared by the two drivers built on top of it:
+/// checkpoint logic — the one executor of compiled bytecode — shared by
+/// the two drivers built on top of it:
 ///
-///  - RegVM.cpp     — the pure interpreter (`--backend=vm-reg`), a
-///                    token-threaded dispatch loop;
+///  - RegVM.cpp     — the pure interpreter (`--backend=vm-reg`, and its
+///                    alias `--backend=vm`), a token-threaded dispatch
+///                    loop;
 ///  - AotRun.cpp    — the AOT-native trampoline (`--backend=vm-aot`), which
 ///                    runs compiled leaf blocks natively and falls back to
 ///                    the same opcode handlers at deopt points.
@@ -74,8 +76,9 @@ protected:
   std::deque<std::string> RevivedStrings;
 
 
-  /// Same fingerprint as the stack VM — a hash of the *stack* disassembly
-  /// of the shared source program — so checkpoints cross tiers.
+  /// A hash of the *stack* disassembly of the source program — the
+  /// fingerprint every MSCK VM checkpoint has carried — so checkpoints
+  /// cross tiers and stay readable across releases.
   uint64_t fingerprint() {
     if (!FpComputed) {
       Fp = fnv1aHash(Src.disassemble());
@@ -96,8 +99,8 @@ protected:
     Error = std::move(Msg);
   }
 
-  /// The environment value at link depth \p D — the stack VM's envAt,
-  /// letrec before-initialization check included.
+  /// The environment value at link depth \p D, letrec
+  /// before-initialization check included.
   Value envAt(uint32_t D) {
     EnvNode *N = Env;
     for (; D; --D)
@@ -140,8 +143,9 @@ protected:
 
   /// Applies \p Fn to \p Arg; a closure call's eventual result lands in
   /// window register \p Dst. Leaf callees get a register window and no
-  /// environment node; non-leaf callees behave exactly like the stack VM
-  /// (including the self-tail-call env reuse under ReuseTailFrames).
+  /// environment node; non-leaf callees extend the environment chain by
+  /// one node, as the bytecode's semantics prescribes (or reuse the
+  /// caller's node on a self-tail-call under ReuseTailFrames).
   void apply(Value Fn, Value Arg, bool Tail, uint16_t Dst) {
     switch (Fn.kind()) {
     case ValueKind::CompiledClosure: {
@@ -251,22 +255,23 @@ protected:
     Hooks->post(*S.Ann, *S.Inner, EnvView(E), V, Steps, A.bytesAllocated());
   }
 
-  /// The environment a leaf frame would have on the stack tier: a fresh
+  /// The environment a leaf frame has in the canonical stack form: a fresh
   /// node binding the parameter (held in the window's register 0) over the
-  /// closure's captured chain. Leaf blocks create no closures, so the node
-  /// the stack VM would have allocated is never shared — materializing a
-  /// fresh one yields an isomorphic value graph.
+  /// closure's captured chain. Leaf blocks create no closures, so that
+  /// node is never shared — materializing a fresh one yields an isomorphic
+  /// value graph.
   EnvNode *materializeLeafEnv(const RegBlock &B, uint32_t FrameBase,
                               EnvNode *Outer) {
     return extendEnv(A, Outer, B.Param, Regs[FrameBase]);
   }
 
-  /// Serializes the machine at an instruction boundary in the stack VM's
-  /// exact payload layout: register windows spill to the canonical flat
-  /// operand stack (each suspended frame contributes Height[retPC]-1
-  /// values, the executing window Height[pc]), and leaf frames materialize
-  /// their environment node. A checkpoint taken here restores on either
-  /// tier.
+  /// Serializes the machine at an instruction boundary in the canonical
+  /// stack-form payload layout: register windows spill to a flat operand
+  /// stack (each suspended frame contributes Height[retPC]-1 values, the
+  /// executing window Height[pc]), and leaf frames materialize their
+  /// environment node. A checkpoint taken here restores on vm, vm-reg and
+  /// vm-aot, and the layout is the one the deleted stack interpreter
+  /// wrote, so its checkpoints still restore here.
   Checkpoint makeCheckpoint(const RInstr &I) {
     CheckpointHeader H;
     H.Backend = CheckpointBackend::VM;
@@ -327,7 +332,7 @@ protected:
     return B < RP.Blocks.size() && Pc < RP.Blocks[B].Code.size();
   }
 
-  /// Rebuilds register windows from the stack VM's payload: window bases
+  /// Rebuilds register windows from the stack-form payload: window bases
   /// are reassigned cumulatively, the flat operand stack is split by the
   /// static height at each frame's resume pc, and leaf frames unpack their
   /// parameter from the serialized environment node.

@@ -2,14 +2,19 @@
 ///
 /// \file
 /// Executes compiled (optionally instrumented) programs. Strict semantics
-/// only — the VM is the residual of specializing the *strict* monitored
-/// interpreter with respect to a program (Section 9.1); the lazy language
-/// modules run on the CEK machine.
+/// only — the bytecode is the residual of specializing the *strict*
+/// monitored interpreter with respect to a program (Section 9.1); the lazy
+/// language modules run on the CEK machine.
+///
+/// One executor runs every compiled program: the register tier
+/// (compile/RegVM.cpp, with the native leaf blocks of compile/AotRun.cpp on
+/// top). The stack bytecode is its front end and the canonical checkpoint
+/// form; nothing interprets it directly.
 ///
 /// Monitoring probes dispatch through the same MonitorHooks interface as
 /// the CEK machine, so any toolbox monitor/cascade runs unchanged on
 /// instrumented bytecode, and the soundness property carries over (probes
-/// cannot touch the value stack).
+/// cannot touch the operand registers).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,20 +27,19 @@
 
 namespace monsem {
 
-/// Runs \p Program on the VM. \p Hooks may be null (standard semantics).
-/// Honors RunOptions::MaxSteps/Limits, Algebra and ReuseTailFrames
-/// (self-tail-call env reuse);
-/// the strategy is always strict. Each instruction advances the step
-/// counter by its Cost (its source-step count), so fused and unfused
-/// programs report identical step counts.
+/// Lowers \p Program (lowerToRegisters) and runs it on the register tier.
+/// \p Hooks may be null (standard semantics). Honors
+/// RunOptions::MaxSteps/Limits, Algebra and ReuseTailFrames (self-tail-call
+/// env reuse); the strategy is always strict. Each instruction advances
+/// the step counter by its Cost (its source-step count), so fused and
+/// unfused programs report identical step counts. Bytecode the lowering
+/// refuses (which compileProgram never emits) is an Outcome::Error.
 RunResult runCompiled(const CompiledProgram &Program,
                       MonitorHooks *Hooks = nullptr, RunOptions Opts = {});
 
-/// Runs a lowered program on the register VM. Same contract as
-/// runCompiled — identical step counts, probe streams, and checkpoint
-/// format (MSCK checkpoints are portable across the stack and register
-/// tiers in both directions) — with register windows instead of an
-/// operand stack. \p RP.Src must outlive the run.
+/// Runs an already-lowered program on the register tier, so callers that
+/// run one program many times lower it once. Same contract as
+/// runCompiled. \p RP.Src must outlive the run.
 RunResult runRegisterProgram(const RegProgram &RP,
                              MonitorHooks *Hooks = nullptr,
                              RunOptions Opts = {});

@@ -81,25 +81,18 @@ RunResult monsem::evaluate(const EvalMode &Mode, const Expr *Program) {
   case Backend::CEK:
     return evaluateMonitored(Mode.C, Program, Opts);
 
-  case Backend::VM:
-    if (Opts.Strat != Strategy::Strict)
-      return errorResult("the VM backend is strict-only; drop kVM or the "
-                         "lazy strategy tag");
-    // evaluateCompiled validates disjointness itself.
-    return evaluateCompiled(Mode.C, Program, Opts);
-
+  case Backend::VM: // An alias of VMRegister.
   case Backend::VMRegister:
     if (Opts.Strat != Strategy::Strict)
       return errorResult("the VM backend is strict-only; drop kVMReg or "
                          "the lazy strategy tag");
-    Opts.VMRegister = true;
+    // evaluateCompiled validates disjointness itself.
     return evaluateCompiled(Mode.C, Program, Opts);
 
   case Backend::VMAot:
     if (Opts.Strat != Strategy::Strict)
       return errorResult("the VM backend is strict-only; drop kVMAot or "
                          "the lazy strategy tag");
-    Opts.VMRegister = true;
     Opts.VMAot = true;
     return evaluateCompiled(Mode.C, Program, Opts);
 

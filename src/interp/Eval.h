@@ -74,7 +74,7 @@ inline constexpr StrategyTag kByNeed{Strategy::CallByNeed};
 /// Which evaluator executes the program.
 enum class Backend : uint8_t {
   CEK,        ///< The production CEK machine (all three strategies).
-  VM,         ///< Compile to bytecode, run on the stack VM (strict only).
+  VM,         ///< An alias of VMRegister (`--backend=vm`).
   VMRegister, ///< Compile, lower to the register tier, run (strict only).
   VMAot,      ///< Register tier + native code for leaf blocks (strict
               ///< only); degrades to VMRegister without a C compiler.
@@ -362,10 +362,10 @@ RunResult evaluate(const Expr *Program, RunOptions Opts = {});
 
 /// The Section 9.2 spelling: the unified entry. Assembles RunOptions via
 /// EvalMode::runOptions() and routes to the selected backend — the CEK
-/// machine (MachineT::run), the bytecode compiler + VM (runCompiled), or
-/// the direct CPS interpreter (runDirect). The VM backends are strict-only;
-/// selecting one with a lazy strategy yields an error result without
-/// running.
+/// machine (MachineT::run), the bytecode compiler + register tier
+/// (evaluateCompiled), or the direct CPS interpreter (runDirect). The VM
+/// backends are strict-only; selecting one with a lazy strategy yields an
+/// error result without running.
 RunResult evaluate(const EvalMode &Mode, const Expr *Program);
 
 /// Renders final monitor states like the paper does, one per line:

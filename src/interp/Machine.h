@@ -98,14 +98,7 @@ struct RunOptions {
   /// and VM): `down 100000`-style loops run in O(1) arena bytes.
   /// Answers and step counts are unchanged; only arena accounting differs.
   bool ReuseTailFrames = true;
-  /// Run compiled programs on the register tier (lowered three-address
-  /// bytecode with register-window frames) instead of the stack VM.
-  /// Observable behavior — answers, step counts, probe event streams,
-  /// checkpoints — is identical; only speed and arena accounting differ.
-  /// Falls back to the stack VM for programs the lowering pass cannot
-  /// encode (pathological nesting depth).
-  bool VMRegister = false;
-  /// On top of VMRegister: run leaf blocks as native code compiled by the
+  /// Compiled programs only: run leaf blocks as native code compiled by the
   /// system C compiler (`--backend=vm-aot`). Degrades to the register
   /// interpreter when no compiler is available or the program has no
   /// eligible blocks; observable behavior is identical either way.

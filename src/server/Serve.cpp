@@ -585,10 +585,11 @@ void Server::submitRun(const SubmitRequest &Req, const std::string &RawLine,
     Mode = Mode & resumeFrom(*Resume);
     // Backend and strategy travel in the checkpoint header; adopt them so
     // a recovered run continues the way it was started (a VM checkpoint is
-    // tier-portable: an explicit vm-reg or vm-aot request keeps that
+    // tier-portable: an explicit vm, vm-reg or vm-aot request keeps that
     // tier).
     if (Resume->header().Backend == CheckpointBackend::VM) {
-      if (Mode.B != Backend::VMRegister && Mode.B != Backend::VMAot)
+      if (Mode.B != Backend::VM && Mode.B != Backend::VMRegister &&
+          Mode.B != Backend::VMAot)
         Mode.B = Backend::VM;
     } else {
       Mode.B = Backend::CEK;

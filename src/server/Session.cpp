@@ -95,7 +95,7 @@ Session::Session(Config Cfg)
       MaxResidentBytes(Cfg.MaxResidentBytes), ParkDir(std::move(Cfg.ParkDir)) {
   Workers.reserve(NumWorkers);
   for (unsigned I = 0; I < NumWorkers; ++I)
-    Workers.emplace_back([this] { workerLoop(); });
+    Workers.emplace_back(programThreadStackBytes(), [this] { workerLoop(); });
 }
 
 Session::~Session() {
@@ -124,7 +124,7 @@ Session::~Session() {
     }
   }
   QCV.notify_all();
-  for (std::thread &T : Workers)
+  for (StackThread &T : Workers)
     T.join();
 }
 

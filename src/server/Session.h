@@ -60,6 +60,7 @@
 #define MONSEM_SERVER_SESSION_H
 
 #include "interp/Eval.h"
+#include "support/Thread.h"
 
 #include <atomic>
 #include <chrono>
@@ -71,7 +72,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace monsem {
@@ -361,7 +361,8 @@ private:
   std::vector<std::weak_ptr<detail::RunState>> AllRuns;
   bool Stopping = false;
 
-  std::vector<std::thread> Workers;
+  /// Created with programThreadStackBytes() of stack (support/Thread.h).
+  std::vector<StackThread> Workers;
 };
 
 } // namespace monsem

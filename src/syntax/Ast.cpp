@@ -183,6 +183,60 @@ const Expr *monsem::cloneExpr(AstContext &Ctx, const Expr *E) {
   return nullptr;
 }
 
+size_t monsem::exprDepth(const Expr *E, const Expr **Deepest) {
+  std::vector<std::pair<const Expr *, size_t>> Work{{E, 1}};
+  size_t Max = 0;
+  while (!Work.empty()) {
+    auto [N, D] = Work.back();
+    Work.pop_back();
+    if (D > Max) {
+      Max = D;
+      if (Deepest)
+        *Deepest = N;
+    }
+    switch (N->kind()) {
+    case ExprKind::Const:
+    case ExprKind::Var:
+      break;
+    case ExprKind::Lam:
+      Work.push_back({cast<LamExpr>(N)->Body, D + 1});
+      break;
+    case ExprKind::If: {
+      const auto *I = cast<IfExpr>(N);
+      Work.push_back({I->Cond, D + 1});
+      Work.push_back({I->Then, D + 1});
+      Work.push_back({I->Else, D + 1});
+      break;
+    }
+    case ExprKind::App: {
+      const auto *A = cast<AppExpr>(N);
+      Work.push_back({A->Fn, D + 1});
+      Work.push_back({A->Arg, D + 1});
+      break;
+    }
+    case ExprKind::Letrec: {
+      const auto *L = cast<LetrecExpr>(N);
+      Work.push_back({L->Bound, D + 1});
+      Work.push_back({L->Body, D + 1});
+      break;
+    }
+    case ExprKind::Prim1:
+      Work.push_back({cast<Prim1Expr>(N)->Arg, D + 1});
+      break;
+    case ExprKind::Prim2: {
+      const auto *P = cast<Prim2Expr>(N);
+      Work.push_back({P->Lhs, D + 1});
+      Work.push_back({P->Rhs, D + 1});
+      break;
+    }
+    case ExprKind::Annot:
+      Work.push_back({cast<AnnotExpr>(N)->Inner, D + 1});
+      break;
+    }
+  }
+  return Max;
+}
+
 size_t monsem::exprSize(const Expr *E) {
   switch (E->kind()) {
   case ExprKind::Const:

@@ -408,6 +408,12 @@ const Expr *cloneExpr(AstContext &Ctx, const Expr *E);
 /// Number of nodes, counting annotations.
 size_t exprSize(const Expr *E);
 
+/// Nodes on the longest root-to-leaf path of \p E (a leaf has depth 1).
+/// Iterative, so it is safe on trees deeper than the C stack could
+/// recurse through. When \p Deepest is given, it receives a node on that
+/// path at the greatest depth.
+size_t exprDepth(const Expr *E, const Expr **Deepest = nullptr);
+
 /// Collects every annotation reachable in \p E in pre-order.
 void collectAnnotations(const Expr *E, std::vector<const Annotation *> &Out);
 

@@ -60,8 +60,26 @@ private:
   AstContext &Ctx;
   Lexer &Lex;
   DiagnosticSink &Diags;
+  unsigned Depth = 0; ///< Nesting levels open on the current parse path.
 
   void error(const std::string &Msg) { Diags.error(Lex.peek().Loc, Msg); }
+
+  /// One nesting level for as long as it lives (see kMaxNestingDepth).
+  /// Past the bound it reports the error; the caller returns nullptr,
+  /// which unwinds the whole parse.
+  class Nest {
+  public:
+    explicit Nest(Parser &P) : P(P) {
+      if (++P.Depth == kMaxNestingDepth + 1)
+        P.error("expression nests deeper than " +
+                std::to_string(kMaxNestingDepth) + " levels");
+    }
+    ~Nest() { --P.Depth; }
+    bool ok() const { return P.Depth <= kMaxNestingDepth; }
+
+  private:
+    Parser &P;
+  };
 
   bool expect(TokenKind K) {
     if (Lex.peek().is(K)) {
@@ -75,6 +93,9 @@ private:
 
   /// expr := '{'ann'}' ':' expr | lambda | if | letrec | let | orExpr
   const Expr *parseExpr() {
+    Nest N(*this);
+    if (!N.ok())
+      return nullptr;
     const Token &T = Lex.peek();
     switch (T.Kind) {
     case TokenKind::LBrace:
@@ -268,6 +289,9 @@ private:
     if (!Lex.peek().is(TokenKind::Colon))
       return L;
     SourceLoc Loc = Lex.next().Loc;
+    Nest N(*this);
+    if (!N.ok())
+      return nullptr;
     const Expr *R = parseCons(); // Right-associative.
     if (!R)
       return nullptr;
@@ -319,6 +343,9 @@ private:
   const Expr *parseUnary() {
     if (Lex.peek().is(TokenKind::Minus)) {
       SourceLoc Loc = Lex.next().Loc;
+      Nest N(*this);
+      if (!N.ok())
+        return nullptr;
       const Expr *E = parseUnary();
       if (!E)
         return nullptr;
@@ -410,6 +437,11 @@ private:
         Elems.push_back(E);
         if (!Lex.peek().is(TokenKind::Comma))
           break;
+        if (Elems.size() == kMaxListLength) {
+          error("list literal has more than " +
+                std::to_string(kMaxListLength) + " elements");
+          return nullptr;
+        }
         Lex.next();
       }
     }
@@ -531,12 +563,25 @@ private:
 
 } // namespace
 
+/// The parser's bounds leave room for chains it builds in a loop; this
+/// catches those, before any recursive pass walks the tree.
+static bool checkSyntaxDepth(const Expr *E, DiagnosticSink &Diags) {
+  const Expr *Deepest = E;
+  if (exprDepth(E, &Deepest) <= kMaxSyntaxDepth)
+    return true;
+  Diags.error(Deepest->loc(),
+              "expression nests deeper than " +
+                  std::to_string(kMaxSyntaxDepth) +
+                  " levels once its sugar is expanded");
+  return false;
+}
+
 const Expr *monsem::parseProgram(AstContext &Ctx, std::string_view Source,
                                  DiagnosticSink &Diags, ParseOptions Opts) {
   Lexer Lex(Source, Diags);
   Parser P(Ctx, Lex, Diags);
   const Expr *E = P.parseTop();
-  if (!E || Diags.hasErrors())
+  if (!E || Diags.hasErrors() || !checkSyntaxDepth(E, Diags))
     return nullptr;
   if (Opts.ResolvePrims)
     E = PrimResolver(Ctx).resolve(E);
@@ -547,7 +592,7 @@ const Expr *monsem::parseExprWith(AstContext &Ctx, Lexer &Lex,
                                   DiagnosticSink &Diags, ParseOptions Opts) {
   Parser P(Ctx, Lex, Diags);
   const Expr *E = P.parseOne();
-  if (!E || Diags.hasErrors())
+  if (!E || Diags.hasErrors() || !checkSyntaxDepth(E, Diags))
     return nullptr;
   if (Opts.ResolvePrims)
     E = PrimResolver(Ctx).resolve(E);

@@ -408,6 +408,96 @@ TEST(CheckpointCompat, NamedMachineCheckpointIsRefused) {
   }
 }
 
+namespace {
+
+/// `monsem fac.lam --profile --checkpoint-every-n-steps=50 --max-steps=120
+/// --backend=vm`'s checkpoint file, 561 bytes, as the stack-bytecode
+/// interpreter wrote it before the register tier became the only executor
+/// of compiled programs. Every VM checkpoint is in this canonical stack
+/// form, so the register tier must still read it, and write it.
+constexpr const char *kFacStackCheckpointHex =
+    "4d53434b010000000100000100000000321acdca8c751fe57800000000000000"
+    "010000000700000070726f66696c651300000001000000030000006661630b00"
+    "0000000000000d0000000601000000780100000000000000000c000000060100"
+    "000078010a000000000000000c0000000601000000780109000000000000000c"
+    "0000000601000000780108000000000000000c00000006010000007801070000"
+    "00000000000c0000000601000000780106000000000000000c00000006010000"
+    "00780105000000000000000c0000000601000000780104000000000000000c00"
+    "00000601000000780103000000000000000c0000000601000000780102000000"
+    "000000000c0000000601000000780101000000000000000c0000000603000000"
+    "6661630b0d0000000000000008010000000c0000000100000002000000010000"
+    "000b000000010a00000000000000010900000000000000010800000000000000"
+    "0107000000000000000106000000000000000105000000000000000104000000"
+    "0000000001030000000000000001020000000000000001010000000000000002"
+    "010b000000000000000500000000000000010000000800000002000000010000"
+    "0008000000030000000100000008000000040000000100000008000000050000"
+    "0001000000080000000600000001000000080000000700000001000000080000"
+    "000800000001000000080000000900000001000000080000000a000000010000"
+    "00080000000b0000000f46efe1f8778073";
+
+constexpr const char *kFacSrc =
+    "letrec fac = lambda x. if x = 0 then 1 else x * fac (x - 1)\n"
+    "in fac 10";
+
+std::vector<uint8_t> fromHex(std::string_view Hex) {
+  std::vector<uint8_t> Out;
+  for (size_t I = 0; I + 1 < Hex.size(); I += 2)
+    Out.push_back(
+        static_cast<uint8_t>(std::stoi(std::string(Hex.substr(I, 2)), nullptr,
+                                       16)));
+  return Out;
+}
+
+/// fac.lam annotated the way `monsem --profile` annotates it.
+const Expr *profiledFac(ParsedProgram &P) {
+  AnnotateOptions AO;
+  AO.Qualifier = Symbol::intern("profile");
+  return annotateFunctionBodies(P.context(), P.root(), {}, AO);
+}
+
+} // namespace
+
+TEST(CheckpointCompat, StackInterpreterCheckpointResumesOnEveryTier) {
+  std::string Err;
+  Checkpoint Old = Checkpoint::fromBytes(fromHex(kFacStackCheckpointHex), Err);
+  ASSERT_TRUE(Old.valid()) << Err;
+  ASSERT_EQ(Old.bytes().size(), 561u);
+  EXPECT_EQ(Old.header().SavedSteps, 120u);
+  for (BackendTag B : {kVM, kVMReg, kVMAot}) {
+    auto P = parseOk(kFacSrc);
+    const Expr *Prog = profiledFac(*P);
+    CallProfiler Straight, Resumed;
+    RunResult Ref = evaluate(EvalMode(Straight) & B, Prog);
+    RunResult R = evaluate(EvalMode(Resumed) & B & resumeFrom(Old), Prog);
+    ASSERT_EQ(R.St, Outcome::Ok) << R.Error;
+    // What the writer's own resume printed: the answer and the profile.
+    EXPECT_EQ(R.ValueText, "3628800");
+    ASSERT_EQ(R.FinalStates.size(), 1u);
+    EXPECT_EQ(R.FinalStates[0]->str(), "[fac -> 11]");
+    EXPECT_TRUE(finalOf(R) == finalOf(Ref))
+        << "resumed: " << describe(finalOf(R))
+        << "\nstraight: " << describe(finalOf(Ref));
+  }
+}
+
+TEST(CheckpointCompat, RegisterTierWritesTheStackInterpreterBytes) {
+  std::vector<uint8_t> Want = fromHex(kFacStackCheckpointHex);
+  for (BackendTag B : {kVM, kVMReg, kVMAot}) {
+    auto P = parseOk(kFacSrc);
+    CallProfiler Prof;
+    Checkpoint Last;
+    RunResult R = evaluate(
+        EvalMode(Prof) & B & maxSteps(120) & checkpointEveryNSteps(50) &
+            checkpointInto([&](const Checkpoint &C) { Last = C; }),
+        profiledFac(*P));
+    EXPECT_EQ(R.St, Outcome::FuelExhausted) << R.Error;
+    ASSERT_TRUE(Last.valid());
+    EXPECT_TRUE(Last.bytes() == Want)
+        << "backend " << static_cast<int>(B.B) << ": " << Last.bytes().size()
+        << " bytes";
+  }
+}
+
 TEST(CheckpointFile, SaveLoadRoundTrip) {
   Checkpoint CK = interruptedCheckpoint(EvalMode(), kLoopSrc);
   std::string Path = ::testing::TempDir() + "monsem_ck_roundtrip.bin";

@@ -5,10 +5,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "DeepPrograms.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
+
+#include <sys/resource.h>
 
 #ifndef MONSEM_CLI_PATH
 #error "MONSEM_CLI_PATH must be defined by the build"
@@ -101,8 +106,8 @@ TEST(CliTest, RegisterBackendAgreesWithInterpreter) {
 }
 
 TEST(CliTest, RegisterBackendRunsMonitors) {
-  // Probe events must be identical across bytecode tiers, so the profile
-  // line is byte-for-byte what the stack VM (and the CEK machine) prints.
+  // `--backend=vm` is an alias of vm-reg, and probe events match the CEK
+  // machine's, so the profile line is byte-for-byte the same.
   CliResult VM = runCli(sample("fac.lam") + " --backend=vm --profile");
   CliResult Reg = runCli(sample("fac.lam") + " --backend=vm-reg --profile");
   EXPECT_EQ(VM.ExitCode, 0) << VM.Output;
@@ -115,6 +120,12 @@ TEST(CliTest, RegisterDisasmShowsRegisterListing) {
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
   EXPECT_NE(R.Output.find("regs="), std::string::npos) << R.Output;
   EXPECT_NE(R.Output.find("rconst"), std::string::npos) << R.Output;
+  // `vm` runs the same register program but lists the stack bytecode.
+  CliResult S = runCli(sample("fac.lam") + " --backend=vm --disasm");
+  EXPECT_EQ(S.ExitCode, 0) << S.Output;
+  EXPECT_NE(S.Output.find("block 0 (<main>):\n"), std::string::npos)
+      << S.Output;
+  EXPECT_EQ(S.Output.find("regs="), std::string::npos) << S.Output;
 }
 
 TEST(CliTest, AotBackendAgreesWithInterpreter) {
@@ -421,8 +432,8 @@ TEST(CliCheckpoint, PartialEvaluationResidualResumes) {
 
 TEST(CliCheckpoint, VmCheckpointResumesOnEitherBytecodeTier) {
   // A VM checkpoint spills register windows to the canonical stack form,
-  // so a run interrupted on the register tier resumes on the stack VM by
-  // default — and stays on the register tier when asked to.
+  // so a run interrupted on vm-reg resumes under `--backend=vm` by
+  // default, and on vm-reg when asked to.
   std::string Ck = ::testing::TempDir() + "cli_reg.ck";
   std::remove(Ck.c_str());
   CliResult Stop =
@@ -711,4 +722,119 @@ TEST(CliSupervise, SuperviseWithoutJournalIsAUsageError) {
   EXPECT_NE(R.Output.find("--supervise requires --journal"),
             std::string::npos)
       << R.Output;
+}
+
+//===----------------------------------------------------------------------===//
+// Nesting bounds end to end: at the bound every backend runs the program,
+// one past it the CLI exits 2 with the parser's diagnostic. Never a signal.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string writeProgram(const std::string &Name, const std::string &Src) {
+  std::string Path = ::testing::TempDir() + "cli_nesting_" + Name + ".lam";
+  std::ofstream(Path) << Src;
+  return Path;
+}
+
+} // namespace
+
+TEST(CliNestingLimit, AtTheBoundEveryBackendRuns) {
+  for (const monsem::testing::DeepShape &S : monsem::testing::deepShapes()) {
+    std::string Path = writeProgram(std::string(S.Name) + "_at",
+                                    S.program(S.Bound));
+    CliResult Ref = runCli(Path);
+    EXPECT_EQ(Ref.ExitCode, 0) << S.Name << ": " << Ref.Output.substr(0, 200);
+    for (const char *B : {"vm", "vm-reg", "vm-aot"}) {
+      CliResult R = runCli(Path + " --backend=" + B);
+      EXPECT_EQ(R.ExitCode, 0) << S.Name << " " << B;
+      // vm-aot may add a note on stderr when no C compiler exists.
+      EXPECT_NE(R.Output.find(Ref.Output), std::string::npos)
+          << S.Name << " " << B;
+    }
+    // Direct's stack guard or call budget may stop it (exit 7 or 3).
+    CliResult D = runCli(Path + " --backend=direct");
+    EXPECT_TRUE(D.ExitCode == 0 || D.ExitCode == 3 || D.ExitCode == 7)
+        << S.Name << ": exit " << D.ExitCode;
+    for (const char *Flags : {"--pe", "--profile", "--coverage",
+                              "--print-ast --backend=vm-reg"}) {
+      CliResult F = runCli(Path + " " + Flags);
+      EXPECT_EQ(F.ExitCode, 0) << S.Name << " " << Flags;
+    }
+    std::remove(Path.c_str());
+  }
+}
+
+TEST(CliNestingLimit, DeepestAcceptedTreeRunsOnEveryBackend) {
+  std::string Path =
+      writeProgram("deepest", monsem::testing::deepestAcceptedProgram());
+  for (const char *B : {"cek", "vm", "vm-reg", "vm-aot"}) {
+    CliResult R = runCli(Path + " --backend=" + B);
+    EXPECT_EQ(R.ExitCode, 0) << B << ": " << R.Output.substr(0, 200);
+  }
+  CliResult D = runCli(Path + " --backend=direct");
+  EXPECT_TRUE(D.ExitCode == 0 || D.ExitCode == 3 || D.ExitCode == 7)
+      << "exit " << D.ExitCode;
+  std::remove(Path.c_str());
+}
+
+TEST(CliNestingLimit, PastTheBoundEveryBackendExitsTwo) {
+  for (const monsem::testing::DeepShape &S : monsem::testing::deepShapes()) {
+    std::string Path = writeProgram(std::string(S.Name) + "_past",
+                                    S.program(S.Bound + 1));
+    for (const char *B : {"cek", "vm", "vm-reg", "vm-aot", "direct"}) {
+      CliResult R = runCli(Path + " --backend=" + B);
+      EXPECT_EQ(R.ExitCode, 2) << S.Name << " " << B;
+      EXPECT_NE(R.Output.find(std::to_string(S.Bound)), std::string::npos)
+          << S.Name << " " << B << ": " << R.Output.substr(0, 200);
+    }
+    std::remove(Path.c_str());
+  }
+}
+
+TEST(CliTest, WorkerStackDoesNotDependOnTheStackLimit) {
+  // Programs run on Session worker threads. glibc would size them from
+  // RLIMIT_STACK and fall back to 2 MB when it is unlimited, so Direct,
+  // which recurses on the C stack, stopped far earlier under
+  // `ulimit -s unlimited` than under 8 MB. Workers now get the finite
+  // limit, or 64 MiB when it is unlimited: the run ends the same way.
+  struct rlimit RL;
+  ASSERT_EQ(getrlimit(RLIMIT_STACK, &RL), 0);
+  std::string First;
+  int FirstCode = -1;
+  for (const char *Limit : {"8192", "65536", "unlimited"}) {
+    bool Raisable =
+        RL.rlim_max == RLIM_INFINITY ||
+        (std::string(Limit) != "unlimited" &&
+         std::stoull(Limit) * 1024 <= static_cast<uint64_t>(RL.rlim_max));
+    if (!Raisable)
+      continue;
+    CliResult R = runShell(std::string("ulimit -s ") + Limit + " && " +
+                           MONSEM_CLI_PATH + " " + sample("fib.lam") +
+                           " --backend=direct");
+    EXPECT_TRUE(R.ExitCode == 0 || R.ExitCode == 3 || R.ExitCode == 7)
+        << Limit << ": " << R.Output;
+    if (FirstCode < 0) {
+      First = R.Output;
+      FirstCode = R.ExitCode;
+      continue;
+    }
+    EXPECT_EQ(R.ExitCode, FirstCode) << Limit;
+    EXPECT_EQ(R.Output, First) << Limit;
+  }
+}
+
+TEST(CliTest, ImpRefusesOptionsItWouldIgnore) {
+  for (const char *Opt :
+       {"--backend=vm", "--checkpoint-out=/nonexistent/ck", "--resume=ck",
+        "--journal=j", "--pe", "--strategy=need", "--profile"}) {
+    CliResult R = runCli(sample("gcd.imp") + " --imp " + Opt);
+    EXPECT_EQ(R.ExitCode, 2) << Opt << ": " << R.Output;
+    std::string Name = std::string(Opt).substr(0, std::string(Opt).find('='));
+    EXPECT_NE(R.Output.find("error: " + Name), std::string::npos)
+        << Opt << ": " << R.Output;
+  }
+  // What the imperative module does use keeps working.
+  CliResult R = runCli(sample("gcd.imp") + " --imp --imp-profile");
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
 }

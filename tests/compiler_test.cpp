@@ -12,6 +12,7 @@
 #include "monitors/Collecting.h"
 #include "monitors/Profiler.h"
 #include "monitors/Tracer.h"
+#include "support/Thread.h"
 #include "syntax/Printer.h"
 
 #include "RandomProgram.h"
@@ -209,3 +210,89 @@ TEST_P(VMDifferentialTest, MonitoredStatesAgreeWithMachine) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VMDifferentialTest,
                          ::testing::Range(0u, 80u));
+
+//===----------------------------------------------------------------------===//
+// The register encoding's limits: compileProgram refuses what the register
+// tier cannot hold, so every compiled program lowers.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs \p Fn on a thread with a 256 MiB stack: the trees below are deeper
+/// than the parser accepts, and the recursive phases need the room.
+void onBigStack(const std::function<void()> &Fn) {
+  StackThread T(size_t(256) << 20, Fn);
+  T.join();
+}
+
+/// `1 + (1 + (... + 1))` with \p N additions, built directly: the parser
+/// refuses nesting this deep. Each pending `1` is one operand-stack slot.
+const Expr *tallSum(AstContext &Ctx, unsigned N) {
+  const Expr *E = Ctx.mkInt(1);
+  for (unsigned I = 0; I < N; ++I)
+    E = Ctx.mkPrim2(Prim2Op::Add, Ctx.mkInt(1), E);
+  return E;
+}
+
+} // namespace
+
+TEST(CompilerTest, OperandStackBeyondTheRegisterEncodingIsADiagnostic) {
+  onBigStack([] {
+    AstContext Ctx;
+    // Exactly kMaxOperandStack pending operands compile, lower and run.
+    const Expr *AtLimit = tallSum(Ctx, kMaxOperandStack - 1);
+    DiagnosticSink D1;
+    auto CP = compileProgram(AtLimit, D1);
+    ASSERT_NE(CP, nullptr) << D1.str();
+    EXPECT_NE(lowerToRegisters(*CP), nullptr);
+    RunResult Ok = runCompiled(*CP);
+    ASSERT_EQ(Ok.St, Outcome::Ok) << Ok.Error;
+    EXPECT_EQ(Ok.IntValue, int64_t(kMaxOperandStack));
+
+    const Expr *Past = tallSum(Ctx, 33000);
+    DiagnosticSink D2;
+    EXPECT_EQ(compileProgram(Past, D2), nullptr);
+    EXPECT_NE(D2.str().find("pending operands"), std::string::npos)
+        << D2.str();
+    for (BackendTag B : {kVM, kVMReg, kVMAot}) {
+      RunResult R = evaluate(EvalMode(B), Past);
+      EXPECT_EQ(R.St, Outcome::Error);
+      EXPECT_NE(R.Error.find("pending operands"), std::string::npos)
+          << R.Error;
+    }
+    // The CEK machine has no such encoding and runs it.
+    EXPECT_EQ(evaluate(Past).IntValue, 33001);
+  });
+}
+
+TEST(CompilerTest, BinderDepthBeyondTheRegisterEncodingIsADiagnostic) {
+  onBigStack([] {
+    AstContext Ctx;
+    // lambda x. lambda y. ... lambda y. x — x sits kParamReg binders out.
+    Symbol X = Symbol::intern("x"), Y = Symbol::intern("y");
+    const Expr *Body = Ctx.mkVar(X);
+    for (unsigned I = 0; I < kParamReg; ++I)
+      Body = Ctx.mkLam(Y, Body);
+    DiagnosticSink D;
+    EXPECT_EQ(compileProgram(Ctx.mkLam(X, Body), D), nullptr);
+    EXPECT_NE(D.str().find("binders out"), std::string::npos) << D.str();
+  });
+}
+
+TEST(CompilerTest, BytecodeTheRegisterTierCannotLowerIsAnError) {
+  // Hand-built bytecode whose entry Halt sees two values: inconsistent
+  // stack heights, which compileProgram never emits. No fallback runs it.
+  CompiledProgram P;
+  P.Blocks.emplace_back();
+  P.Blocks[0].Name = "<main>";
+  P.ConstPool.push_back(Value::mkInt(1, P.ConstArena));
+  for (Op Code : {Op::Const, Op::Const, Op::Halt}) {
+    Instr I;
+    I.Code = Code;
+    P.Blocks[0].Code.push_back(I);
+  }
+  EXPECT_EQ(lowerToRegisters(P), nullptr);
+  RunResult R = runCompiled(P);
+  EXPECT_EQ(R.St, Outcome::Error);
+  EXPECT_NE(R.Error.find("cannot be lowered"), std::string::npos) << R.Error;
+}

@@ -193,10 +193,13 @@ TEST(GovernorTest, VMHonorsFuelMemoryAndDepth) {
   RunResult RF2 = evaluateCompiled(Empty, Loop->root(), Fuel);
   EXPECT_EQ(RF.Steps, RF2.Steps);
 
+  // The register tier keeps a leaf loop's argument in a register, so
+  // LoopSrc allocates nothing there; this loop conses a cell per call.
+  auto Alloc = parseOk("letrec loop = lambda x. loop [x] in loop 0");
   RunOptions Mem;
   Mem.Limits.MaxArenaBytes = 1 << 15;
   Mem.ReuseTailFrames = false; // The loop must actually reach the cap.
-  RunResult RM = evaluateCompiled(Empty, Loop->root(), Mem);
+  RunResult RM = evaluateCompiled(Empty, Alloc->root(), Mem);
   EXPECT_EQ(RM.St, Outcome::MemoryExceeded);
 
   auto Deep = parseOk(DeepSrc);

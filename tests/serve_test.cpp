@@ -28,6 +28,8 @@
 #include "support/Journal.h"
 #include "syntax/Annotator.h"
 
+#include "DeepPrograms.h"
+
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -639,6 +641,44 @@ TEST(ServeProtocol, IntOverflowRunDoesNotStrandLaterSubmits) {
   }
   EXPECT_TRUE(SawOverflow) << ::testing::PrintToString(T.Lines);
   EXPECT_TRUE(SawLater) << ::testing::PrintToString(T.Lines);
+}
+
+TEST(ServeProtocol, NestingLimitRefusesTheProgramAndKeepsServing) {
+  // A program nested past the parser's bounds once overflowed the C stack
+  // and killed the daemon, so later submissions got no outcome. Now each
+  // shape at its bound runs, one past it gets an error record, and the
+  // daemon keeps serving.
+  std::string In;
+  std::vector<std::string> Backends = {"cek", "vm", "vm-reg", "vm-aot"};
+  size_t K = 0;
+  for (const monsem::testing::DeepShape &S : monsem::testing::deepShapes()) {
+    const std::string &B = Backends[K++ % Backends.size()];
+    for (bool Past : {false, true})
+      In += "{\"op\":\"submit\",\"id\":\"" + std::string(S.Name) +
+            (Past ? "-past" : "-at") + "\",\"backend\":\"" + B +
+            "\",\"program\":\"" + S.program(S.Bound + Past) + "\"}\n";
+  }
+  In += "{\"op\":\"submit\",\"id\":\"later\",\"program\":\"1 + 2\"}\n";
+  Transcript T = serveStdin(In, "--workers=1");
+  EXPECT_EQ(T.ExitCode, 0);
+  auto Has = [&](const std::string &Id, const char *Event) {
+    for (const std::string &L : T.Lines)
+      if (lineHas(L, "\"id\":\"" + Id + "\"") && lineHas(L, Event))
+        return true;
+    return false;
+  };
+  for (const monsem::testing::DeepShape &S : monsem::testing::deepShapes()) {
+    EXPECT_TRUE(Has(std::string(S.Name) + "-at", "\"event\":\"outcome\""))
+        << S.Name;
+    EXPECT_TRUE(Has(std::string(S.Name) + "-past", "\"event\":\"error\""))
+        << S.Name;
+  }
+  bool SawLater = false;
+  for (const std::string &L : T.Lines)
+    SawLater |= lineHas(L, "\"id\":\"later\"") &&
+                lineHas(L, "\"event\":\"outcome\"") &&
+                lineHas(L, "\"value\":\"3\"");
+  EXPECT_TRUE(SawLater);
 }
 
 TEST(ServeProtocol, BadTenantIsRejected) {

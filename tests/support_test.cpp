@@ -5,12 +5,16 @@
 #include "support/OutChan.h"
 #include "support/StrUtils.h"
 #include "support/Symbol.h"
+#include "support/Thread.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <thread>
+
+#include <pthread.h>
+#include <sys/resource.h>
 
 using namespace monsem;
 
@@ -209,4 +213,26 @@ TEST(StrUtilsTest, SplitTrimJoin) {
   EXPECT_TRUE(startsWith("foobar", "foo"));
   EXPECT_FALSE(startsWith("fo", "foo"));
   EXPECT_EQ(joinStrings({"a", "b"}, ", "), "a, b");
+}
+
+TEST(WorkerStackTest, ProgramThreadsGetTheRlimitOrAFixedStack) {
+  struct rlimit RL;
+  ASSERT_EQ(getrlimit(RLIMIT_STACK, &RL), 0);
+  size_t Want = RL.rlim_cur == RLIM_INFINITY
+                    ? kUnlimitedStackBytes
+                    : static_cast<size_t>(RL.rlim_cur);
+  EXPECT_EQ(programThreadStackBytes(), Want);
+
+  // The thread really runs on a stack of the requested size.
+  size_t Got = 0;
+  StackThread T(size_t(48) << 20, [&] {
+    pthread_attr_t Attr;
+    if (pthread_getattr_np(pthread_self(), &Attr) == 0) {
+      pthread_attr_getstacksize(&Attr, &Got);
+      pthread_attr_destroy(&Attr);
+    }
+  });
+  T.join();
+  EXPECT_GE(Got, size_t(48) << 20);
+  EXPECT_LT(Got, size_t(49) << 20);
 }

@@ -4,8 +4,8 @@
 // are pure implementation refinements: Section 9.1's specialized program
 // must stay observationally identical to the source machine — same
 // answers, same step counts, same monitor states. These tests pin that
-// down differentially (fused vs. unfused VM vs. CEK machine, monitored and
-// unmonitored), plus the structural properties the pass must respect:
+// down differentially (fused vs. unfused bytecode on the register tier vs.
+// the CEK machine, monitored and unmonitored), plus the structural properties the pass must respect:
 // jump targets block fusion, probes break fusion windows, and frame reuse
 // never fires when a closure can capture the activation frame.
 //
@@ -139,6 +139,8 @@ std::unique_ptr<CompiledProgram> mkJumpTargetProgram(bool Cond) {
   uint32_t Twenty = AddConst(Value::mkInt(20, P->ConstArena));
   uint32_t Two = AddConst(Value::mkInt(2, P->ConstArena));
   uint32_t Add = static_cast<uint32_t>(Prim2Op::Add);
+  // Well-formed: both paths reach the join with the same stack, and Halt
+  // sees exactly the answer.
   Emit(Op::Const, Zero);             // 0
   Emit(Op::Const, Zero);             // 1: fuses with 2 -> constprim2
   Emit(Op::Prim2, Add);              // 2
@@ -150,7 +152,8 @@ std::unique_ptr<CompiledProgram> mkJumpTargetProgram(bool Cond) {
   Emit(Op::Const, Twenty);           // 8
   Emit(Op::Const, Two);              // 9: must NOT fuse with 10
   Emit(Op::Prim2, Add);              // 10: Jump target
-  Emit(Op::Halt);                    // 11
+  Emit(Op::Prim2, Add);              // 11: (0 + 0) + the branch's sum
+  Emit(Op::Halt);                    // 12
   return P;
 }
 
@@ -164,10 +167,13 @@ TEST(VMFusionTest, JumpTargetBlocksFusion) {
 
     // Exactly the (1,2) pair fuses; the (9,10) pair is protected because
     // instruction 10 is the Jump's landing pad.
-    EXPECT_EQ(Fused->Blocks[0].Code.size(), 11u);
+    EXPECT_EQ(Fused->Blocks[0].Code.size(), 12u);
     std::string Dis = Fused->disassemble();
     EXPECT_EQ(countSubstr(Dis, "constprim2"), 1u) << Dis;
-    EXPECT_EQ(countSubstr(Dis, "prim2 +"), 1u) << Dis;
+    EXPECT_EQ(countSubstr(Dis, "prim2 +"), 2u) << Dis;
+    // Both forms lower, so the run below is the register tier's.
+    EXPECT_NE(lowerToRegisters(*Raw), nullptr);
+    EXPECT_NE(lowerToRegisters(*Fused), nullptr);
 
     RunResult RRaw = runCompiled(*Raw);
     RunResult RFused = runCompiled(*Fused);
@@ -211,8 +217,8 @@ TEST(VMFusionTest, ProbesBlockFusionWindows) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential corpus: fused and unfused VM vs. the CEK
-// machine over generated programs, unmonitored and monitored.
+// Differential corpus: fused and unfused bytecode on the register tier vs.
+// the CEK machine over generated programs, unmonitored and monitored.
 //===----------------------------------------------------------------------===//
 
 class VMFusionDifferentialTest : public ::testing::TestWithParam<unsigned> {};
@@ -296,15 +302,22 @@ TEST(TailReuseTest, VMRunsSelfLoopsInConstantArena) {
   // O(1): 100x more iterations, identical arena high-water mark.
   EXPECT_EQ(RS.ArenaBytes, RL.ArenaBytes);
 
+  // That loop is a leaf block, whose frames allocate no environment node
+  // at all. Frame reuse matters where a block keeps its environment
+  // chain: here a letrec in the test does, and reuse saves the parameter
+  // node of every iteration.
+  auto Kept = parseOk("letrec loop = lambda n. if (letrec z = n in z) = 0 "
+                      "then 7 else loop (n - 1) in loop 1000");
   RunOptions Off = Opts;
   Off.ReuseTailFrames = false;
-  RunResult NS = runVM(Empty, Short->root(), Off, /*Fuse=*/true);
-  RunResult NL = runVM(Empty, Long->root(), Off, /*Fuse=*/true);
-  ASSERT_TRUE(NS.Ok && NL.Ok);
-  EXPECT_GT(NL.ArenaBytes, NS.ArenaBytes);
+  RunResult On = runVM(Empty, Kept->root(), Opts, /*Fuse=*/true);
+  RunResult No = runVM(Empty, Kept->root(), Off, /*Fuse=*/true);
+  ASSERT_TRUE(On.Ok && No.Ok) << On.Error << No.Error;
+  EXPECT_GT(No.ArenaBytes, On.ArenaBytes);
   // Reuse is invisible to everything but the allocator.
-  EXPECT_EQ(NL.IntValue, RL.IntValue);
-  EXPECT_EQ(NL.Steps, RL.Steps);
+  EXPECT_EQ(No.IntValue, 7);
+  EXPECT_EQ(On.IntValue, 7);
+  EXPECT_EQ(No.Steps, On.Steps);
 }
 
 TEST(TailReuseTest, CEKRunsSelfLoopsInConstantArena) {

@@ -1,14 +1,15 @@
 //===- tests/vm_register_test.cpp - Register tier differential -------------===//
 //
-// The register tier is a pure implementation refinement of the stack VM:
-// lowering is 1:1 per instruction (same block, same pc, same cost), so a
-// register run must be observationally identical to the fused stack run —
-// same answers, same step counts, same probe event streams, same final
-// monitor states — and checkpoints must be portable across tiers in both
-// directions. These tests pin that down differentially (register vs. fused
-// stack VM vs. CEK machine, monitored and unmonitored), plus golden
-// disassembly listings for both encodings and the structural invariants
-// the lowering pass must respect.
+// The register tier is the one executor of compiled bytecode. Lowering is
+// 1:1 per instruction (same block, same pc, same cost), so step counts,
+// probe positions and checkpoint coordinates are those of the stack
+// bytecode, fused or not: a run of the fused program must be
+// observationally identical to a run of the unfused one — same answers,
+// same step counts, same probe event streams, same final monitor states —
+// and agree with the CEK machine on answers, final states and probe texts.
+// Checkpoints must be portable across vm, vm-reg and vm-aot. These tests
+// pin that down differentially, plus golden disassembly listings for both
+// encodings and the structural invariants the lowering pass must respect.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +47,7 @@ std::string statesOf(const RunResult &R) {
 
 /// One probe event as a monitor would see it: which hook fired, at which
 /// step, with which rendered payload. Byte-identical streams between the
-/// register and stack tiers are the probe-convention acceptance bar.
+/// fused and unfused programs are the probe-convention acceptance bar.
 struct Event {
   bool Pre;
   uint64_t Step;
@@ -97,11 +98,12 @@ private:
   std::vector<Event> &Events;
 };
 
-enum class Tier { Fused, Reg, Aot };
+enum class Tier { Unfused, Reg, Aot };
 
-/// Run a program through the fused stack VM, the register tier, or the
-/// native AOT tier under one cascade, optionally recording the probe
-/// event stream. Tier::Aot requires aotAvailable() — callers skip first.
+/// Run a program on the register tier without superinstruction fusion,
+/// with it, or on the native AOT tier, under one cascade, optionally
+/// recording the probe event stream. Tier::Aot requires aotAvailable() —
+/// callers skip first.
 RunResult runTier(Tier T, const Cascade &C, const Expr *Program,
                   RunOptions Opts, std::vector<Event> *Events = nullptr) {
   DiagnosticSink Diags;
@@ -112,23 +114,21 @@ RunResult runTier(Tier T, const Cascade &C, const Expr *Program,
   }
   CompileOptions CO;
   CO.Instrument = !C.empty();
+  CO.Fuse = T != Tier::Unfused;
   std::unique_ptr<CompiledProgram> CP = compileProgram(Program, Diags, CO);
   if (!CP) {
     RunResult R;
     R.Error = Diags.str();
     return R;
   }
-  std::unique_ptr<RegProgram> RP;
-  std::shared_ptr<const AotLibrary> Lib;
-  if (T != Tier::Fused) {
-    RP = lowerToRegisters(*CP);
-    EXPECT_NE(RP, nullptr) << "register lowering failed";
-    if (!RP) {
-      RunResult R;
-      R.Error = "lowering failed";
-      return R;
-    }
+  std::unique_ptr<RegProgram> RP = lowerToRegisters(*CP);
+  EXPECT_NE(RP, nullptr) << "register lowering failed";
+  if (!RP) {
+    RunResult R;
+    R.Error = "lowering failed";
+    return R;
   }
+  std::shared_ptr<const AotLibrary> Lib;
   if (T == Tier::Aot) {
     std::string Why;
     Lib = aotLoad(*RP, /*CacheDir=*/"", &Why);
@@ -142,7 +142,7 @@ RunResult runTier(Tier T, const Cascade &C, const Expr *Program,
   auto Run = [&](MonitorHooks *H) {
     if (Lib)
       return runAotProgram(*RP, *Lib, H, Opts);
-    return RP ? runRegisterProgram(*RP, H, Opts) : runCompiled(*CP, H, Opts);
+    return runRegisterProgram(*RP, H, Opts);
   };
   if (C.empty())
     return Run(nullptr);
@@ -304,18 +304,21 @@ TEST(RegisterLoweringTest, LoweringIsOneToOne) {
 }
 
 TEST(RegisterLoweringTest, LeafCallsSkipEnvAllocation) {
-  auto P = parseOk("letrec fib = lambda n. if n < 2 then n else "
-                   "fib (n - 1) + fib (n - 2) in fib 12");
+  auto Small = parseOk("letrec fib = lambda n. if n < 2 then n else "
+                       "fib (n - 1) + fib (n - 2) in fib 12");
+  auto Large = parseOk("letrec fib = lambda n. if n < 2 then n else "
+                       "fib (n - 1) + fib (n - 2) in fib 16");
   Cascade Empty;
   RunOptions Opts;
-  RunResult F = runTier(Tier::Fused, Empty, P->root(), Opts);
-  RunResult R = runTier(Tier::Reg, Empty, P->root(), Opts);
-  ASSERT_TRUE(F.Ok && R.Ok) << F.Error << R.Error;
-  EXPECT_EQ(R.ValueText, F.ValueText);
-  EXPECT_EQ(R.Steps, F.Steps);
-  // Leaf frames never materialize an EnvNode, so the register run's arena
-  // high-water mark is far below the stack tier's one-node-per-call.
-  EXPECT_LT(R.ArenaBytes, F.ArenaBytes);
+  RunResult S = runTier(Tier::Reg, Empty, Small->root(), Opts);
+  RunResult L = runTier(Tier::Reg, Empty, Large->root(), Opts);
+  ASSERT_TRUE(S.Ok && L.Ok) << S.Error << L.Error;
+  EXPECT_EQ(S.ValueText, evaluate(Small->root()).ValueText);
+  EXPECT_EQ(L.IntValue, 987);
+  EXPECT_GT(L.Steps, 5 * S.Steps);
+  // Leaf frames never materialize an EnvNode, and fib allocates nothing
+  // else, so ~7x more calls allocate no more arena bytes.
+  EXPECT_EQ(S.ArenaBytes, L.ArenaBytes);
 }
 
 TEST(RegisterLoweringTest, SelfLoopsRunInConstantArena) {
@@ -346,7 +349,7 @@ TEST(RegisterLoweringTest, LazyStrategyIsRejected) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential corpus: register tier vs. fused stack VM
+// Differential corpus: fused vs. unfused register runs vs. the native tier
 // vs. the CEK machine over generated programs.
 //===----------------------------------------------------------------------===//
 
@@ -361,17 +364,17 @@ TEST_P(VMRegisterDifferentialTest, RegisterAgreesWithStackAndMachine) {
   RunResult Interp = evaluate(Prog, Opts);
   Cascade Empty;
 
-  RunResult Base = runTier(Tier::Fused, Empty, Prog, Opts);
+  RunResult Base = runTier(Tier::Unfused, Empty, Prog, Opts);
   EXPECT_TRUE(Interp.sameOutcome(Base)) << printExpr(Prog);
   RunResult Reg = runTier(Tier::Reg, Empty, Prog, Opts);
-  EXPECT_TRUE(Base.sameOutcome(Reg))
+  EXPECT_TRUE(Interp.sameOutcome(Reg))
       << printExpr(Prog)
-      << "\nstack: " << (Base.Ok ? Base.ValueText : Base.Error)
-      << "\nreg:   " << (Reg.Ok ? Reg.ValueText : Reg.Error);
+      << "\ncek: " << (Interp.Ok ? Interp.ValueText : Interp.Error)
+      << "\nreg: " << (Reg.Ok ? Reg.ValueText : Reg.Error);
   if (Base.Ok && Reg.Ok) {
+    // Fusion sums Costs and allocates nothing of its own.
     EXPECT_EQ(Base.Steps, Reg.Steps) << printExpr(Prog);
-    // Leaf elision only removes allocations; it never adds any.
-    EXPECT_LE(Reg.ArenaBytes, Base.ArenaBytes) << printExpr(Prog);
+    EXPECT_EQ(Base.ArenaBytes, Reg.ArenaBytes) << printExpr(Prog);
   }
   // The native AOT tier runs the same register program, so it must match
   // the register interpreter exactly — answer, step count, and even the
@@ -379,10 +382,10 @@ TEST_P(VMRegisterDifferentialTest, RegisterAgreesWithStackAndMachine) {
   // fast paths would).
   if (aotAvailable()) {
     RunResult A = runTier(Tier::Aot, Empty, Prog, Opts);
-    EXPECT_TRUE(Base.sameOutcome(A))
+    EXPECT_TRUE(Reg.sameOutcome(A))
         << printExpr(Prog)
-        << "\nstack: " << (Base.Ok ? Base.ValueText : Base.Error)
-        << "\naot:   " << (A.Ok ? A.ValueText : A.Error);
+        << "\nreg: " << (Reg.Ok ? Reg.ValueText : Reg.Error)
+        << "\naot: " << (A.Ok ? A.ValueText : A.Error);
     if (Reg.Ok && A.Ok) {
       EXPECT_EQ(Reg.Steps, A.Steps) << printExpr(Prog);
       EXPECT_EQ(Reg.ArenaBytes, A.ArenaBytes) << printExpr(Prog);
@@ -405,8 +408,8 @@ TEST_P(VMRegisterDifferentialTest, MonitoredStreamsAreIdentical) {
   Pair.use(CountM);
 
   for (const Cascade *C : {&Single, &Pair}) {
-    std::vector<Event> FusedEvents, RegEvents, CEKEvents;
-    RunResult F = runTier(Tier::Fused, *C, Prog, Opts, &FusedEvents);
+    std::vector<Event> UnfusedEvents, RegEvents, CEKEvents;
+    RunResult F = runTier(Tier::Unfused, *C, Prog, Opts, &UnfusedEvents);
     RunResult R = runTier(Tier::Reg, *C, Prog, Opts, &RegEvents);
     RunResult Interp = runCEKRecorded(*C, Prog, Opts, CEKEvents);
     EXPECT_TRUE(F.sameOutcome(R)) << printExpr(Prog);
@@ -415,11 +418,12 @@ TEST_P(VMRegisterDifferentialTest, MonitoredStreamsAreIdentical) {
       EXPECT_EQ(statesOf(R), statesOf(F)) << printExpr(Prog);
       EXPECT_EQ(statesOf(R), statesOf(Interp)) << printExpr(Prog);
       EXPECT_EQ(R.Steps, F.Steps) << printExpr(Prog);
-      // Probe convention: the register tier emits the byte-identical
+      // Probe convention: fused and unfused code emit the byte-identical
       // event stream — same steps, same rendered payloads.
-      EXPECT_TRUE(RegEvents == FusedEvents)
-          << printExpr(Prog) << "\nfused:\n" << describeEvents(FusedEvents)
-          << "reg:\n" << describeEvents(RegEvents);
+      EXPECT_TRUE(RegEvents == UnfusedEvents)
+          << printExpr(Prog) << "\nunfused:\n"
+          << describeEvents(UnfusedEvents) << "fused:\n"
+          << describeEvents(RegEvents);
       // Against the CEK machine only the hook/text sequence is comparable
       // (step indices follow each machine's own cost accounting).
       EXPECT_EQ(textsOf(RegEvents), textsOf(CEKEvents)) << printExpr(Prog);
@@ -499,8 +503,9 @@ const char *tierName(Backend B) {
 }
 
 /// checkpoint_test's differential core, generalized to interrupt under
-/// `From` and resume under `To`. All three VM tiers (stack, register,
-/// native AOT) share the CheckpointBackend::VM format and the stack-listing
+/// `From` and resume under `To`. All three VM backends (vm, which is an
+/// alias of vm-reg, vm-reg, and the native vm-aot) share the
+/// CheckpointBackend::VM format and the stack-listing
 /// fingerprint, so a checkpoint written by any must resume on the others
 /// with identical observables. For vm-aot this doubles as the
 /// deopt-at-checkpoint test: native code yields back to the register

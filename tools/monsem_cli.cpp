@@ -140,6 +140,23 @@ struct Options {
   bool ImpProfile = false;
   bool ImpTrace = false;
   std::vector<std::string> Names; ///< Functions to annotate ("" = all).
+  /// The first option given that only functional programs use; --imp
+  /// refuses it rather than ignore it.
+  std::string FunctionalOnly;
+};
+
+/// Options the imperative module has no use for. Everything else it
+/// shares (limits, fault policy, --print-ast) or owns (--imp-*, --input).
+constexpr std::string_view kFunctionalOnlyOptions[] = {
+    "--backend",       "--checkpoint-out", "--checkpoint-every-n-steps",
+    "--resume",        "--resume-journal", "--journal",
+    "--pe",            "--print-residual", "--strategy",
+    "--profile",       "--trace",          "--cost",
+    "--alloc",         "--callgraph",      "--collect",
+    "--demon-sorted",  "--step",           "--record",
+    "--record-capacity", "--coverage",     "--debug",
+    "--prelude",       "--disasm",         "--aot-cache",
+    "--supervise",     "--inject",
 };
 
 /// One line describing what each backend needs from this build and
@@ -171,10 +188,11 @@ int usage(const char *Argv0) {
       << "    --prelude          wrap the program in the standard prelude\n"
       << "    --strategy=strict|name|need\n"
       << "    --backend=cek|vm|vm-reg|vm-aot|direct\n"
-      << "                       evaluator: CEK machine (default), stack\n"
-      << "                       bytecode VM, register bytecode VM, native\n"
-      << "                       code over the register tier (VMs are\n"
-      << "                       strict only), or the direct CPS interpreter:\n"
+      << "                       evaluator: CEK machine (default), register\n"
+      << "                       bytecode VM (vm-reg; vm is an alias of\n"
+      << "                       vm-reg), native code over the register\n"
+      << "                       tier (VMs are strict only), or the direct\n"
+      << "                       CPS interpreter:\n"
       << "                       the reference for the others, every\n"
       << "                       strategy, small programs only (it stops\n"
       << "                       with exit 7 when its C stack runs out)\n"
@@ -184,7 +202,8 @@ int usage(const char *Argv0) {
       << "    --pe               partially evaluate, then run the residual\n"
       << "    --print-ast        show the (annotated) program\n"
       << "    --print-residual   with --pe: show the residual program\n"
-      << "    --disasm           show compiled bytecode\n"
+      << "    --disasm           show compiled bytecode (stack form under\n"
+      << "                       vm, register form under vm-reg/vm-aot)\n"
       << "    --max-steps=N      fuel limit\n"
       << "  resource governance (both program kinds):\n"
       << "    --deadline-ms=N    wall-clock budget for the run\n"
@@ -276,6 +295,10 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
         return std::nullopt;
       return A.substr(Prefix.size());
     };
+    std::string_view Name = std::string_view(A).substr(0, A.find('='));
+    for (std::string_view F : kFunctionalOnlyOptions)
+      if (Name == F && O.FunctionalOnly.empty())
+        O.FunctionalOnly = Name;
     if (A == "serve" && !O.Serve && O.File.empty()) {
       O.Serve = true;
     } else if (!A.empty() && A[0] != '-' && O.File.empty()) {
@@ -703,11 +726,11 @@ int runFunctional(const Options &O, const std::string &Source) {
     // monitor flags still have to match (the monitor section is checked
     // name-by-name when the machine restores).
     Mode = Mode & resumeFrom(CK);
-    // A VM checkpoint is tier-portable: an explicit --backend=vm-reg or
-    // --backend=vm-aot keeps that tier, anything else resumes on the
-    // stack VM.
+    // A VM checkpoint is tier-portable: an explicit --backend=vm,
+    // vm-reg or vm-aot keeps that tier, anything else resumes on vm.
     if (CK.header().Backend == CheckpointBackend::VM) {
-      if (Mode.B != Backend::VMRegister && Mode.B != Backend::VMAot)
+      if (Mode.B != Backend::VM && Mode.B != Backend::VMRegister &&
+          Mode.B != Backend::VMAot)
         Mode.B = Backend::VM;
     } else {
       Mode.B = Backend::CEK;
@@ -783,22 +806,19 @@ int runFunctional(const Options &O, const std::string &Source) {
       return 2;
     }
     if (O.Disasm) {
+      // `--backend=vm` shows the stack bytecode (the compiler's output and
+      // the checkpoint coordinates); vm-reg shows the register program the
+      // run executes, and vm-aot adds the C the emitter hands to the
+      // system compiler for the eligible leaf blocks. A program that does
+      // not compile prints nothing here; the run reports why.
       DiagnosticSink Diags;
       if (auto CP = compileProgram(Program, Diags)) {
-        // Under the register backends, show the program the way that tier
-        // runs it; fall back to the stack listing if lowering declines.
-        // vm-aot additionally shows the C the emitter would hand to the
-        // system compiler for the eligible leaf blocks.
-        if (O.B == Backend::VMRegister || O.B == Backend::VMAot) {
-          if (auto RP = lowerToRegisters(*CP)) {
-            std::cout << RP->disassemble();
-            if (O.B == Backend::VMAot)
-              std::cout << '\n' << aotEmitSource(*RP);
-          } else {
-            std::cout << CP->disassemble();
-          }
-        } else {
+        if (O.B == Backend::VM) {
           std::cout << CP->disassemble();
+        } else if (auto RP = lowerToRegisters(*CP)) {
+          std::cout << RP->disassemble();
+          if (O.B == Backend::VMAot)
+            std::cout << '\n' << aotEmitSource(*RP);
         }
       }
     }
@@ -1066,6 +1086,12 @@ int main(int Argc, char **Argv) {
     SO.SockSndbufBytes = O.SockSndbufBytes;
     SO.Interrupt = &GCancel; // First ^C drains politely; second hard-exits.
     return runServe(SO);
+  }
+  if (O.Imp && !O.FunctionalOnly.empty()) {
+    std::cerr << "error: " << O.FunctionalOnly
+              << " applies to functional programs only; --imp does not "
+                 "take it\n";
+    return 2;
   }
   if (O.Repl)
     return runRepl(O);
