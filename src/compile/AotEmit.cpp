@@ -64,10 +64,14 @@ struct CompilerInfo {
   std::string Id;   ///< First line of `--version`; empty when unusable.
 };
 
+std::string compilerCommand() {
+  const char *Env = std::getenv("MONSEM_AOT_CC");
+  return Env && *Env ? Env : "cc";
+}
+
 CompilerInfo probeCompiler() {
   CompilerInfo CI;
-  const char *Env = std::getenv("MONSEM_AOT_CC");
-  CI.Path = Env && *Env ? Env : "cc";
+  CI.Path = compilerCommand();
 #ifdef _WIN32
   return CI;
 #else
@@ -89,6 +93,7 @@ CompilerInfo probeCompiler() {
 #endif
 }
 
+/// The probed compiler: `--version` runs once per process.
 const CompilerInfo &compilerInfo() {
   static CompilerInfo CI = probeCompiler();
   return CI;
@@ -145,7 +150,7 @@ bool emittableOp(ROp O) {
 }
 
 bool emittableBlock(const RegBlock &B, uint32_t Index) {
-  if (Index == 0 || !B.Leaf || B.Code.empty())
+  if (Index == 0 || !B.Leaf || !B.Live || B.Code.empty())
     return false;
   if (blockCostBound(B) >= 512)
     return false;
@@ -576,6 +581,83 @@ std::string hex64(uint64_t V) {
   return Buf;
 }
 
+#ifndef _WIN32
+/// Resolves the compiler command the way the shell does: a name with a
+/// slash is a path, a bare name the first executable of that name on PATH.
+/// Returns the file with its symlinks resolved, or "" when there is none.
+std::string resolveCommand(const std::string &Cmd) {
+  namespace fs = std::filesystem;
+  auto Exec = [](const std::string &P) -> std::string {
+    std::error_code EC;
+    fs::path Canon = fs::canonical(P, EC);
+    if (EC || !fs::is_regular_file(Canon, EC) ||
+        access(Canon.c_str(), X_OK) != 0)
+      return "";
+    return Canon.string();
+  };
+  if (Cmd.find('/') != std::string::npos)
+    return Exec(Cmd);
+  const char *Path = std::getenv("PATH");
+  std::string_view Dirs = Path ? Path : "/usr/bin:/bin";
+  while (true) {
+    size_t Colon = Dirs.find(':');
+    std::string_view D = Dirs.substr(0, Colon);
+    std::string Found = Exec((D.empty() ? "." : std::string(D)) + "/" + Cmd);
+    if (!Found.empty() || Colon == std::string_view::npos)
+      return Found;
+    Dirs.remove_prefix(Colon + 1);
+  }
+}
+
+/// The compiler identification without a `--version` process per run: the
+/// line is kept in \p Dir under a key of the command, the file it resolves
+/// to, and that file's size and mtime (ccache's compiler_check=mtime).
+/// Only a key miss runs the probe, so a replaced compiler is probed again.
+CompilerInfo lookupCompilerId(const std::string &Dir) {
+  namespace fs = std::filesystem;
+  std::string Cmd = compilerCommand();
+  std::string File = resolveCommand(Cmd);
+  if (File.empty())
+    return compilerInfo();
+  std::error_code SizeEC, TimeEC;
+  uintmax_t Size = fs::file_size(File, SizeEC);
+  fs::file_time_type MTime = fs::last_write_time(File, TimeEC);
+  if (SizeEC || TimeEC)
+    return compilerInfo();
+  std::string Key = Cmd + '\0' + File + '\0' + std::to_string(Size) + '\0' +
+                    std::to_string(MTime.time_since_epoch().count());
+  std::string IdPath = Dir + "/monsem-cc-" + hex64(fnv1aHash(Key)) + ".id";
+  CompilerInfo CI;
+  CI.Path = Cmd;
+  if (std::ifstream In{IdPath}; In && std::getline(In, CI.Id) && !CI.Id.empty())
+    return CI;
+  CI = compilerInfo();
+  if (CI.Id.empty())
+    return CI;
+  // Publish atomically, so a concurrent reader sees the whole line or
+  // nothing; a failed write only means the next process probes again.
+  std::error_code EC;
+  fs::create_directories(Dir, EC);
+  std::string Tmp = IdPath + "." + std::to_string(getpid());
+  {
+    std::ofstream Out(Tmp, std::ios::trunc);
+    Out << CI.Id << '\n';
+  }
+  fs::rename(Tmp, IdPath, EC);
+  if (EC)
+    fs::remove(Tmp, EC);
+  return CI;
+}
+
+/// lookupCompilerId, once per process (the first cache directory asked
+/// for keeps the line; "" is the default directory).
+const CompilerInfo &cachedCompilerInfo(const std::string &CacheDir) {
+  static CompilerInfo CI =
+      lookupCompilerId(CacheDir.empty() ? defaultCacheDir() : CacheDir);
+  return CI;
+}
+#endif
+
 /// Structural fingerprint over *every* block of the program, eligible or
 /// not. The library's per-program tables (Fns / BlockCost / Enterable) are
 /// indexed by block number across the whole program, but the emitted C
@@ -597,6 +679,7 @@ uint64_t structHash(const RegProgram &RP) {
     Mix(B.Code.size());
     Mix(B.NumRegs);
     Mix(B.Leaf);
+    Mix(B.Live);
     // RInstr is two fully-initialized machine words (static_assert'd in
     // Bytecode.h), so hashing its raw bytes is deterministic.
     for (const RInstr &I : B.Code) {
@@ -632,7 +715,7 @@ monsem::aotLoad(const RegProgram &RP, const std::string &CacheDir,
   (void)CacheDir;
   return No("the native tier requires dlopen");
 #else
-  const CompilerInfo &CI = compilerInfo();
+  const CompilerInfo &CI = cachedCompilerInfo(CacheDir);
   if (CI.Id.empty())
     return No("no C compiler available (checked MONSEM_AOT_CC, then 'cc')");
 

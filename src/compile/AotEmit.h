@@ -6,20 +6,24 @@
 /// layout, compiled by the system C compiler into a shared object, and
 /// executed by the trampoline driver in AotRun.cpp (`--backend=vm-aot`).
 ///
-/// Only leaf blocks are emitted (no MkClosure, no PushRecEnv, no probes —
-/// the blocks that already run without an environment allocation per
-/// call). Non-leaf blocks, every MonPre/MonPost probe window, and any
-/// governor pause execute in the shared register interpreter at the same
+/// Only *live* leaf blocks are emitted: leaf means no MkClosure, no
+/// PushRecEnv, no probes — the blocks that already run without an
+/// environment allocation per call; live means not inside the bound
+/// expression of a letrec whose binder no live code refers to
+/// (CodeBlock::Live), so the `--prelude` functions a program never names
+/// cost the C compiler nothing. Dead and non-leaf blocks, every
+/// MonPre/MonPost probe window, and any governor pause execute in the shared register interpreter at the same
 /// (block, pc) coordinates, so probe event streams, step counts,
 /// ResourceLimits outcomes, and checkpoint coordinates are byte-identical
 /// to `vm-reg`, and checkpoints stay tier-portable in both directions.
 ///
-/// Shared objects are cached on disk keyed by the program fingerprint
-/// (the same stack-disassembly hash checkpoints use), the emitter version,
-/// and the compiler identification line; a per-process registry memoizes
-/// loaded libraries so repeated runs of the same program dlopen once.
-/// When no C compiler is available, `aotLoad` reports why and the caller
-/// falls back to `vm-reg`.
+/// Shared objects are cached on disk keyed by the emitted C (which names
+/// the emitter version) and the compiler identification line; a
+/// per-process registry memoizes loaded libraries so repeated runs of the
+/// same program dlopen once. The identification line is cached in the same
+/// directory, keyed by the compiler file's path, size and mtime, so a warm
+/// run starts no `cc --version` process. When no C compiler is available,
+/// `aotLoad` reports why and the caller falls back to `vm-reg`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -107,8 +111,9 @@ private:
 };
 
 /// True when the native tier can work in this process: a working C
-/// compiler (`MONSEM_AOT_CC`, else `cc` on PATH). The compiler probe runs
-/// once and is cached.
+/// compiler (`MONSEM_AOT_CC`, else `cc` on PATH). The compiler probe
+/// (`--version`) runs once per process; unlike `aotLoad`, it never trusts
+/// the on-disk identification cache.
 bool aotAvailable();
 
 /// The compiler identification line used in cache keys ("" when

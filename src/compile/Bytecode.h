@@ -218,6 +218,7 @@ struct RegBlock {
   uint32_t NumRegs = 0;
   uint32_t TempBase = 0; ///< First temporary register (1 in leaf blocks).
   bool Leaf = false;
+  bool Live = true; ///< Copied from the source block (CodeBlock::Live).
   /// A *currier*: a non-entry block whose whole body is `MkClosure k; Ret`
   /// — the shape curried definitions (`\x. \y. ...`) lower to for every
   /// outer parameter. Calls into a currier are collapsed by the register
@@ -259,6 +260,12 @@ struct CodeBlock {
   /// environments are never mutated retroactively). Computed by
   /// `markReusableFrames` after fusion.
   bool ReusableFrame = false;
+  /// False when the block is a lambda inside the bound expression of a
+  /// letrec whose binder no live code refers to (compileProgram's
+  /// liveness pass). Such a block is still compiled and its closure still
+  /// built, but the native tier emits no code for it: if it is ever
+  /// entered, the register interpreter runs it.
+  bool Live = true;
 };
 
 /// A monitoring probe site: the annotation and the annotated expression

@@ -8,11 +8,83 @@
 
 #include <cstdlib>
 #include <optional>
+#include <unordered_set>
 #include <vector>
 
 using namespace monsem;
 
 namespace {
+
+/// Finds the letrecs whose binder no live code refers to (PAPER.md §9.1:
+/// precompute only what the program's runs need). One linear walk over
+/// the resolved tree: a letrec's body is visited first, and its bound
+/// expression only if live code referred to the binder by then, so a
+/// self-reference never keeps a binder live. Everything under a bound
+/// that is not visited is dead, and so are the binders only it names
+/// (the prelude's `foldl` when nothing calls `sum`).
+class Liveness {
+public:
+  std::unordered_set<const LetrecExpr *> run(const Expr *Program) {
+    visit(Program);
+    return std::move(Dead);
+  }
+
+private:
+  /// One entry per binder in scope, innermost last: each lambda parameter
+  /// and each letrec binder, the stack VarExpr::BinderDepth counts in.
+  std::vector<bool> Used;
+  std::unordered_set<const LetrecExpr *> Dead;
+
+  void visit(const Expr *E) {
+    switch (E->kind()) {
+    case ExprKind::Const:
+      return;
+    case ExprKind::Var: {
+      const auto *V = cast<VarExpr>(E);
+      if (V->Addr == VarExpr::AddrKind::Local && V->BinderDepth < Used.size())
+        Used[Used.size() - 1 - V->BinderDepth] = true;
+      return;
+    }
+    case ExprKind::Lam:
+      Used.push_back(false);
+      visit(cast<LamExpr>(E)->Body);
+      Used.pop_back();
+      return;
+    case ExprKind::If: {
+      const auto *I = cast<IfExpr>(E);
+      visit(I->Cond);
+      visit(I->Then);
+      visit(I->Else);
+      return;
+    }
+    case ExprKind::App:
+      visit(cast<AppExpr>(E)->Arg);
+      visit(cast<AppExpr>(E)->Fn);
+      return;
+    case ExprKind::Letrec: {
+      const auto *L = cast<LetrecExpr>(E);
+      Used.push_back(false);
+      visit(L->Body);
+      if (Used.back())
+        visit(L->Bound);
+      else
+        Dead.insert(L);
+      Used.pop_back();
+      return;
+    }
+    case ExprKind::Prim1:
+      visit(cast<Prim1Expr>(E)->Arg);
+      return;
+    case ExprKind::Prim2:
+      visit(cast<Prim2Expr>(E)->Lhs);
+      visit(cast<Prim2Expr>(E)->Rhs);
+      return;
+    case ExprKind::Annot:
+      visit(cast<AnnotExpr>(E)->Inner);
+      return;
+    }
+  }
+};
 
 class Compiler {
 public:
@@ -31,6 +103,7 @@ public:
       Diags.error(Program->loc(), kSharedNodesError);
       return nullptr;
     }
+    Dead = Liveness().run(Program);
     Prog->Blocks.emplace_back();
     Prog->Blocks[0].Name = "<main>";
     compileInto(0, Program);
@@ -48,6 +121,11 @@ private:
   CompileOptions Opts;
   std::unique_ptr<CompiledProgram> Prog;
   std::shared_ptr<const Resolution> Res;
+  /// Letrecs with a dead binder, and how many of their bound expressions
+  /// enclose the expression being compiled: blocks compiled there get
+  /// CodeBlock::Live = false.
+  std::unordered_set<const LetrecExpr *> Dead;
+  uint32_t InDeadBound = 0;
   bool Failed = false;
 
   void emit(uint32_t Block, Op Code, uint32_t A = 0) {
@@ -163,6 +241,7 @@ private:
       Prog->Blocks.emplace_back();
       Prog->Blocks[Sub].Param = L->Param;
       Prog->Blocks[Sub].Name = "lambda " + std::string(L->Param.str());
+      Prog->Blocks[Sub].Live = InDeadBound == 0;
       compileExpr(Sub, L->Body, /*Tail=*/true, /*H=*/0);
       emit(Sub, Op::Ret);
       emit(Block, Op::MkClosure, Sub);
@@ -192,7 +271,10 @@ private:
     case ExprKind::Letrec: {
       const auto *L = cast<LetrecExpr>(E);
       emit(Block, Op::PushRecEnv, addName(L->Name));
+      const bool DeadBound = Dead.count(L) != 0;
+      InDeadBound += DeadBound;
       compileExpr(Block, L->Bound, /*Tail=*/false, H);
+      InDeadBound -= DeadBound;
       emit(Block, Op::PatchRec);
       compileExpr(Block, L->Body, Tail, H);
       if (!Tail)

@@ -213,6 +213,7 @@ private:
   bool lowerBlock(const CodeBlock &B, bool IsEntry, bool Leaf,
                   RegBlock &Out) {
     Out.Leaf = Leaf;
+    Out.Live = B.Live;
     Out.TempBase = Leaf ? 1 : 0;
     Out.Param = B.Param;
     Out.Name = B.Name;

@@ -30,6 +30,7 @@ private:
   ImpContext &Ctx;
   Lexer Lex;
   DiagnosticSink &Diags;
+  unsigned Depth = 0; ///< Commands open on the current parse path.
 
   void error(const std::string &Msg) { Diags.error(Lex.peek().Loc, Msg); }
 
@@ -64,7 +65,23 @@ private:
     return C;
   }
 
+  /// One nesting level per open command, bounded like the expression
+  /// parser's (kMaxNestingDepth): the parser, the machine, the printer and
+  /// the annotators all recurse on the command tree, so a deeper program
+  /// gets a diagnostic instead of overflowing the C stack.
   const Cmd *parseCmd() {
+    if (Depth == kMaxNestingDepth) {
+      error("command nests deeper than " + std::to_string(kMaxNestingDepth) +
+            " levels");
+      return nullptr;
+    }
+    ++Depth;
+    const Cmd *C = parseCmdAtDepth();
+    --Depth;
+    return C;
+  }
+
+  const Cmd *parseCmdAtDepth() {
     const Token &T = Lex.peek();
     switch (T.Kind) {
     case TokenKind::KwSkip: {

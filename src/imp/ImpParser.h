@@ -25,7 +25,10 @@
 
 namespace monsem {
 
-/// Parses a complete imperative program; nullptr plus diagnostics on error.
+/// Parses a complete imperative program; nullptr plus diagnostics on error,
+/// including a program whose commands nest deeper than kMaxNestingDepth
+/// (syntax/Parser.h) — each `if`, `while`, `begin` and annotation opens a
+/// level around the commands inside it.
 const Cmd *parseImpProgram(ImpContext &Ctx, std::string_view Source,
                            DiagnosticSink &Diags);
 

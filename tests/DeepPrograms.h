@@ -6,7 +6,8 @@
 /// long literal), plus a left-nested `+` chain for the desugared-depth
 /// bound. `program(Levels)` yields a program whose depth, as the parser
 /// counts it, is exactly Levels; shapes at their bound must run, one past
-/// it must get a parse diagnostic — never a signal.
+/// it must get a parse diagnostic — never a signal. deepImpProgram does the
+/// same for the imperative language's commands.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,6 +71,21 @@ inline std::string deepestAcceptedProgram() {
   DeepShape List{"list-literal", kMaxListLength, "[", "1", "]", ", "};
   Parens.Core = "hd " + List.program(kMaxListLength);
   return Parens.program(kMaxNestingDepth - 1);
+}
+
+/// An imperative program whose commands nest exactly \p Levels deep: one
+/// `while`, `if` or annotated command per level around an assignment.
+inline std::string deepImpProgram(unsigned Levels) {
+  static const char *const Open[] = {"while x < 1 do ", "if x < 1 then ",
+                                     "{a}: "};
+  static const char *const Close[] = {" end", " else skip end", ""};
+  std::string S = "x := 0; ";
+  for (unsigned I = 1; I < Levels; ++I)
+    S += Open[I % 3];
+  S += "x := 1";
+  for (unsigned I = Levels - 1; I >= 1; --I)
+    S += Close[I % 3];
+  return S + "; print x";
 }
 
 } // namespace monsem::testing

@@ -792,6 +792,31 @@ TEST(CliNestingLimit, PastTheBoundEveryBackendExitsTwo) {
   }
 }
 
+TEST(CliNestingLimit, ImpAtTheBoundRunsUnderEveryImpMonitor) {
+  std::string Path = ::testing::TempDir() + "cli_nesting_imp_at.imp";
+  std::ofstream(Path) << monsem::testing::deepImpProgram(monsem::kMaxNestingDepth);
+  for (const char *Flags :
+       {"", "--imp-profile", "--imp-trace", "--imp-watch=x", "--print-ast"}) {
+    CliResult R = runCli(Path + " --imp " + Flags);
+    EXPECT_EQ(R.ExitCode, 0) << Flags << ": " << R.Output.substr(0, 200);
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(CliNestingLimit, ImpPastTheBoundExitsTwo) {
+  for (unsigned Levels : {monsem::kMaxNestingDepth + 1, 100000u}) {
+    std::string Path = ::testing::TempDir() + "cli_nesting_imp_past.imp";
+    std::ofstream(Path) << monsem::testing::deepImpProgram(Levels);
+    CliResult R = runCli(Path + " --imp");
+    EXPECT_EQ(R.ExitCode, 2) << Levels;
+    EXPECT_NE(R.Output.find("nests deeper than " +
+                            std::to_string(monsem::kMaxNestingDepth)),
+              std::string::npos)
+        << Levels << ": " << R.Output.substr(0, 200);
+    std::remove(Path.c_str());
+  }
+}
+
 TEST(CliTest, WorkerStackDoesNotDependOnTheStackLimit) {
   // Programs run on Session worker threads. glibc would size them from
   // RLIMIT_STACK and fall back to 2 MB when it is unlimited, so Direct,

@@ -9,6 +9,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "imp/ImpMachine.h"
+#include "imp/ImpMonitors.h"
+#include "imp/ImpParser.h"
 #include "interp/Eval.h"
 #include "pe/PartialEval.h"
 #include "syntax/Annotator.h"
@@ -88,5 +91,41 @@ TEST(NestingLimitTest, DeepestAcceptedTreeRunsOnEveryCompiledBackend) {
     RunResult R = evaluate(EvalMode(B), P->root());
     EXPECT_EQ(R.St, Outcome::Ok) << R.Error;
     EXPECT_EQ(R.ValueText, Ref.ValueText);
+  }
+}
+
+TEST(NestingLimitTest, ImpCommandsPastTheBoundAreADiagnostic) {
+  for (unsigned Levels : {kMaxNestingDepth + 1, 100000u}) {
+    ImpContext Ctx;
+    DiagnosticSink Diags;
+    EXPECT_EQ(parseImpProgram(Ctx, monsem::testing::deepImpProgram(Levels), Diags), nullptr);
+    EXPECT_NE(Diags.str().find("nests deeper than " +
+                               std::to_string(kMaxNestingDepth)),
+              std::string::npos)
+        << Diags.str();
+  }
+}
+
+TEST(NestingLimitTest, ImpCommandsAtTheBoundRunUnderEveryImpMonitor) {
+  ImpContext Ctx;
+  DiagnosticSink Diags;
+  const Cmd *C = parseImpProgram(Ctx, monsem::testing::deepImpProgram(kMaxNestingDepth), Diags);
+  ASSERT_NE(C, nullptr) << Diags.str();
+  EXPECT_FALSE(printCmd(C).empty());
+  ImpRunResult Plain = runImp(C);
+  ASSERT_TRUE(Plain.Ok) << Plain.Error;
+  EXPECT_EQ(Plain.Output, std::vector<std::string>{"1"});
+  ImpStmtProfiler Prof;
+  ImpWatchMonitor Watch("x");
+  ImpTracer Trc;
+  for (const ImpMonitor *M : {static_cast<const ImpMonitor *>(&Prof),
+                              static_cast<const ImpMonitor *>(&Watch),
+                              static_cast<const ImpMonitor *>(&Trc)}) {
+    ImpCascade Cas;
+    Cas.use(*M);
+    ImpRunResult R = runImp(Cas, C);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.Output, Plain.Output);
+    EXPECT_EQ(R.Store, Plain.Store);
   }
 }

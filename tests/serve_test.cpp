@@ -32,8 +32,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -232,7 +234,9 @@ TEST(SessionApi, FairShareLetsASmallTenantThroughAConvoy) {
   // Tenant "a" floods the single worker with six long runs, then tenant
   // "b" submits one short run. Deficit round robin grants "b" a quantum
   // every rotation, so its run finishes first — under the old single
-  // FIFO it would have finished last, behind ~500 slices of "a".
+  // FIFO it would have finished last, behind ~500 slices of "a". "b" is
+  // queued from a0's first requeue, when a0 has provably not finished;
+  // queuing it from this thread could lose the race to a0's last slice.
   auto Long = ParsedProgram::parse("letrec loop = lambda n. if n < 1 then "
                                    "0 else loop (n - 1) in loop 2000");
   ASSERT_TRUE(Long->ok());
@@ -255,11 +259,21 @@ TEST(SessionApi, FairShareLetsASmallTenantThroughAConvoy) {
     return Ev;
   };
 
+  std::promise<RunHandle> BQueued;
+  std::future<RunHandle> BHandle = BQueued.get_future();
+  std::atomic<bool> BSubmitted{false};
   std::vector<RunHandle> Handles;
-  for (int I = 0; I < 6; ++I)
-    Handles.push_back(S.submit(EvalMode(), Long->root(),
-                               Finisher("a" + std::to_string(I)), "a"));
-  RunHandle B = S.submit(EvalMode(), Short->root(), Finisher("b"), "b");
+  for (int I = 0; I < 6; ++I) {
+    RunEvents Ev = Finisher("a" + std::to_string(I));
+    if (I == 0)
+      Ev.OnCheckpoint = [&](uint64_t) {
+        if (!BSubmitted.exchange(true))
+          BQueued.set_value(
+              S.submit(EvalMode(), Short->root(), Finisher("b"), "b"));
+      };
+    Handles.push_back(S.submit(EvalMode(), Long->root(), std::move(Ev), "a"));
+  }
+  RunHandle B = BHandle.get();
 
   RunResult RB = B.outcome();
   EXPECT_EQ(RB.St, Outcome::Ok);
