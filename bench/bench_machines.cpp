@@ -147,20 +147,8 @@ void reportTailReuse(JsonlWriter &W, bool Quick) {
   std::putchar('\n');
 }
 
-/// Lowers \p CP for the register tier, or exits: every compiled program
-/// lowers, so a failure here is a bug worth stopping the bench for.
-std::unique_ptr<RegProgram> lowerOrDie(const CompiledProgram &CP,
-                                       const char *Name) {
-  auto RP = lowerToRegisters(CP);
-  if (!RP) {
-    std::fprintf(stderr, "register lowering failed for %s\n", Name);
-    std::exit(1);
-  }
-  return RP;
-}
-
 /// Superinstruction fusion on the register tier: unfused vs. fused
-/// bytecode (+ frame reuse), each lowered once outside the timed region.
+/// bytecode (+ frame reuse), each compiled once outside the timed region.
 /// The fused run must agree with the unfused baseline on answer AND step
 /// count — Cost accounting makes fused programs report source-machine
 /// steps — before its timing is recorded. Returns the interleaved
@@ -186,15 +174,15 @@ double reportVM(JsonlWriter &W, bool Quick) {
       std::fprintf(stderr, "compile failed for %s\n", WL.Name);
       std::exit(1);
     }
-    auto RawRP = lowerOrDie(*Raw, WL.Name);
-    auto FusedRP = lowerOrDie(*Fused, WL.Name);
+    RegProgram RawRP(*Raw);
+    RegProgram FusedRP(*Fused);
 
     RunOptions RefOpts;
     RefOpts.ReuseTailFrames = false;
     RunOptions FusedOpts;
     FusedOpts.ReuseTailFrames = true;
-    RunResult Ref = runRegisterProgram(*RawRP, nullptr, RefOpts);
-    RunResult R = runRegisterProgram(*FusedRP, nullptr, FusedOpts);
+    RunResult Ref = runRegisterProgram(RawRP, nullptr, RefOpts);
+    RunResult R = runRegisterProgram(FusedRP, nullptr, FusedOpts);
     if (R.Ok != Ref.Ok || R.ValueText != Ref.ValueText ||
         R.Steps != Ref.Steps) {
       std::fprintf(stderr,
@@ -206,9 +194,9 @@ double reportVM(JsonlWriter &W, bool Quick) {
       std::exit(1);
     }
     double RawMs = medianMs(
-        [&] { runRegisterProgram(*RawRP, nullptr, RefOpts); }, Quick ? 3 : 9);
+        [&] { runRegisterProgram(RawRP, nullptr, RefOpts); }, Quick ? 3 : 9);
     double FusedMs =
-        medianMs([&] { runRegisterProgram(*FusedRP, nullptr, FusedOpts); },
+        medianMs([&] { runRegisterProgram(FusedRP, nullptr, FusedOpts); },
                  Quick ? 3 : 9);
     // The fused row continues the `vm-reg-threaded` series (the register
     // tier's rows since the switch loop was deleted).
@@ -220,8 +208,8 @@ double reportVM(JsonlWriter &W, bool Quick) {
     // Interleaved ratio, robust against clock drift: median of
     // (unfused-baseline time / fused-pipeline time).
     double Speedup = medianRatio(
-        [&] { runRegisterProgram(*FusedRP, nullptr, FusedOpts); },
-        [&] { runRegisterProgram(*RawRP, nullptr, RefOpts); }, Quick ? 9 : 11);
+        [&] { runRegisterProgram(FusedRP, nullptr, FusedOpts); },
+        [&] { runRegisterProgram(RawRP, nullptr, RefOpts); }, Quick ? 9 : 11);
     if (First) {
       FibSpeedup = Speedup;
       First = false;
@@ -268,9 +256,9 @@ std::vector<double> reportAotVM(JsonlWriter &W, bool Quick) {
       std::fprintf(stderr, "compile failed for %s\n", WL.Name);
       std::exit(1);
     }
-    auto RP = lowerOrDie(*Fused, WL.Name);
+    RegProgram RP(*Fused);
     std::string Why;
-    auto Lib = aotLoad(*RP, /*CacheDir=*/"", &Why);
+    auto Lib = aotLoad(RP, /*CacheDir=*/"", &Why);
     if (!Lib) {
       std::fprintf(stderr, "aotLoad failed for %s: %s\n", WL.Name,
                    Why.c_str());
@@ -279,8 +267,8 @@ std::vector<double> reportAotVM(JsonlWriter &W, bool Quick) {
 
     RunOptions Opts;
     Opts.ReuseTailFrames = true;
-    RunResult Ref = runRegisterProgram(*RP, nullptr, Opts);
-    RunResult R = runAotProgram(*RP, *Lib, nullptr, Opts);
+    RunResult Ref = runRegisterProgram(RP, nullptr, Opts);
+    RunResult R = runAotProgram(RP, *Lib, nullptr, Opts);
     if (R.Ok != Ref.Ok || R.ValueText != Ref.ValueText ||
         R.Steps != Ref.Steps) {
       std::fprintf(stderr,
@@ -292,17 +280,17 @@ std::vector<double> reportAotVM(JsonlWriter &W, bool Quick) {
       std::exit(1);
     }
 
-    double RegMs = medianMs([&] { runRegisterProgram(*RP, nullptr, Opts); },
+    double RegMs = medianMs([&] { runRegisterProgram(RP, nullptr, Opts); },
                             Quick ? 3 : 9);
-    double AotMs = medianMs([&] { runAotProgram(*RP, *Lib, nullptr, Opts); },
+    double AotMs = medianMs([&] { runAotProgram(RP, *Lib, nullptr, Opts); },
                             Quick ? 3 : 9);
     W.write({WL.Name, "vm-aot", "strict", AotMs * 1e6, R.Steps,
              R.ArenaBytes});
 
     // Interleaved ratio: median of (register time / native time).
     double Speedup = medianRatio(
-        [&] { runAotProgram(*RP, *Lib, nullptr, Opts); },
-        [&] { runRegisterProgram(*RP, nullptr, Opts); }, Quick ? 9 : 11);
+        [&] { runAotProgram(RP, *Lib, nullptr, Opts); },
+        [&] { runRegisterProgram(RP, nullptr, Opts); }, Quick ? 9 : 11);
     if (std::strncmp(WL.Name, "fib", 3) == 0 ||
         std::strncmp(WL.Name, "down", 4) == 0 ||
         std::strncmp(WL.Name, "list", 4) == 0)
@@ -453,9 +441,9 @@ static void reportTable() {
   auto SmallCP = compileProgram(Small->root(), Diags);
   auto LargeCP = compileProgram(Large->root(), Diags);
   auto ListCP = compileProgram(List->root(), Diags);
-  auto SmallVM = lowerOrDie(*SmallCP, "fib 11");
-  auto LargeVM = lowerOrDie(*LargeCP, "fib 20");
-  auto ListVM = lowerOrDie(*ListCP, "list sums");
+  RegProgram SmallVM(*SmallCP);
+  RegProgram LargeVM(*LargeCP);
+  RegProgram ListVM(*ListCP);
 
   std::printf("A3 — evaluators (standard semantics, strict)\n");
   printRule();
@@ -466,17 +454,17 @@ static void reportTable() {
   double DirSmall =
       medianMs([&] { runDirect(Small->root(), nullptr, 100000); });
   double CekSmall = medianMs([&] { evaluate(Small->root()); });
-  double VmSmall = medianMs([&] { runRegisterProgram(*SmallVM); });
+  double VmSmall = medianMs([&] { runRegisterProgram(SmallVM); });
   std::printf("%-14s %16.3f %14.3f %14.3f\n", "fib 11", DirSmall, CekSmall,
               VmSmall);
 
   double CekLarge = medianMs([&] { evaluate(Large->root()); });
-  double VmLarge = medianMs([&] { runRegisterProgram(*LargeVM); });
+  double VmLarge = medianMs([&] { runRegisterProgram(LargeVM); });
   std::printf("%-14s %16s %14.3f %14.3f\n", "fib 20", "-", CekLarge,
               VmLarge);
 
   double CekList = medianMs([&] { evaluate(List->root()); });
-  double VmList = medianMs([&] { runRegisterProgram(*ListVM); });
+  double VmList = medianMs([&] { runRegisterProgram(ListVM); });
   std::printf("%-14s %16s %14.3f %14.3f\n", "list sums", "-", CekList,
               VmList);
   printRule();
@@ -518,9 +506,9 @@ static void BM_Bytecode(benchmark::State &State) {
   auto P = parseOrDie(LargeSrc);
   DiagnosticSink Diags;
   auto Prog = compileProgram(P->root(), Diags);
-  auto RP = lowerOrDie(*Prog, "fib 20");
+  RegProgram RP(*Prog);
   for (auto _ : State)
-    benchmark::DoNotOptimize(runRegisterProgram(*RP));
+    benchmark::DoNotOptimize(runRegisterProgram(RP));
 }
 BENCHMARK(BM_Bytecode)->Unit(benchmark::kMillisecond);
 

@@ -89,15 +89,9 @@ static void reportTable() {
     NoInstr.Instrument = false;
     auto OrigCP = compileProgram(Orig, Diags, NoInstr);
     auto ResCP = compileProgram(Res, Diags, NoInstr);
-    // Lowered once, outside the timers.
-    auto OrigVM = lowerToRegisters(*OrigCP);
-    auto ResVM = lowerToRegisters(*ResCP);
-    if (!OrigVM || !ResVM) {
-      std::fprintf(stderr, "register lowering failed\n");
-      std::abort();
-    }
-    double VO = medianMs([&] { runRegisterProgram(*OrigVM); });
-    double VR = medianMs([&] { runRegisterProgram(*ResVM); });
+    // Compiled once, outside the timers.
+    double VO = medianMs([&] { runCompiled(*OrigCP); });
+    double VR = medianMs([&] { runCompiled(*ResCP); });
     std::printf("%-26s %12.3f %12.3f %9.2fx %12s\n",
                 "power^16 (bytecode)", VO, VR, VO / VR, "-");
   }

@@ -65,21 +65,15 @@ static void reportTable() {
   CompileOptions NoInstr;
   NoInstr.Instrument = false;
   auto PlainProg = compileProgram(Plain, Diags, NoInstr);
-  // Rows C and D run on the register tier, lowered once outside the
+  // Rows C and D run on the register tier, compiled once outside the
   // timers.
-  auto InstrRP = lowerToRegisters(*InstrProg);
-  auto PlainRP = lowerToRegisters(*PlainProg);
-  if (!InstrRP || !PlainRP) {
-    std::fprintf(stderr, "register lowering failed; benchmark invalid\n");
-    std::abort();
-  }
 
   // Sanity: all four agree on the answer.
   RunResult A = runStandard(Plain);
   RunResult B = runMonitored(C, Annotated->root());
   RuntimeCascade RC(C);
-  RunResult Cr = runRegisterProgram(*InstrRP, &RC);
-  RunResult D = runRegisterProgram(*PlainRP);
+  RunResult Cr = runCompiled(*InstrProg, &RC);
+  RunResult D = runCompiled(*PlainProg);
   if (!(A.Ok && B.Ok && Cr.Ok && D.Ok) || A.ValueText != B.ValueText ||
       A.ValueText != Cr.ValueText || A.ValueText != D.ValueText) {
     std::fprintf(stderr, "answer mismatch; benchmark invalid\n");
@@ -92,9 +86,9 @@ static void reportTable() {
   double RB = medianRatio(RunA, [&] { runMonitored(C, Annotated->root()); });
   double RC_ = medianRatio(RunA, [&] {
     RuntimeCascade RC2(C);
-    runRegisterProgram(*InstrRP, &RC2);
+    runCompiled(*InstrProg, &RC2);
   });
-  double RD = medianRatio(RunA, [&] { runRegisterProgram(*PlainRP); });
+  double RD = medianRatio(RunA, [&] { runCompiled(*PlainProg); });
   double TB = TA * RB, TC = TA * RC_, TD = TA * RD;
 
   std::printf("T1 — Section 9.1: interpretation vs. specialization "
@@ -152,10 +146,9 @@ static void BM_InstrumentedProgram(benchmark::State &State) {
   C.use(Trc);
   DiagnosticSink Diags;
   auto Prog = compileProgram(Annotated->root(), Diags);
-  auto RP = lowerToRegisters(*Prog);
   for (auto _ : State) {
     RuntimeCascade RC(C);
-    benchmark::DoNotOptimize(runRegisterProgram(*RP, &RC));
+    benchmark::DoNotOptimize(runCompiled(*Prog, &RC));
   }
 }
 BENCHMARK(BM_InstrumentedProgram)->Unit(benchmark::kMillisecond);
@@ -168,9 +161,8 @@ static void BM_CompiledNoInstrumentation(benchmark::State &State) {
   CompileOptions NoInstr;
   NoInstr.Instrument = false;
   auto Prog = compileProgram(Plain, Diags, NoInstr);
-  auto RP = lowerToRegisters(*Prog);
   for (auto _ : State)
-    benchmark::DoNotOptimize(runRegisterProgram(*RP));
+    benchmark::DoNotOptimize(runCompiled(*Prog));
 }
 BENCHMARK(BM_CompiledNoInstrumentation)->Unit(benchmark::kMillisecond);
 

@@ -115,7 +115,7 @@ namespace {
 /// control flow; the self-tail loop re-checks per iteration). Blocks whose
 /// bound reaches the governor's minimum check interval are never entered
 /// natively, so cap eligibility there.
-uint64_t blockCostBound(const RegBlock &B) {
+uint64_t blockCostBound(const CodeBlock &B) {
   uint64_t C = 0;
   for (const RInstr &I : B.Code)
     C += I.Cost;
@@ -149,7 +149,7 @@ bool emittableOp(ROp O) {
   }
 }
 
-bool emittableBlock(const RegBlock &B, uint32_t Index) {
+bool emittableBlock(const CodeBlock &B, uint32_t Index) {
   if (Index == 0 || !B.Leaf || !B.Live || B.Code.empty())
     return false;
   if (blockCostBound(B) >= 512)
@@ -160,7 +160,7 @@ bool emittableBlock(const RegBlock &B, uint32_t Index) {
   return true;
 }
 
-std::vector<uint8_t> enterablePcs(const RegBlock &B) {
+std::vector<uint8_t> enterablePcs(const CodeBlock &B) {
   std::vector<uint8_t> E(B.Code.size(), 0);
   if (!E.empty())
     E[0] = 1;
@@ -382,7 +382,7 @@ private:
 
   void emitBlock(uint32_t B) {
     BI = B;
-    const RegBlock &RB = RP.Blocks[B];
+    const CodeBlock &RB = RP.Blocks[B];
     BCost = blockCostBound(RB);
     std::vector<uint8_t> Enter = enterablePcs(RB);
     O += "\n/* block " + num(B) + " (" + RB.Name + "), cost bound " +
@@ -658,6 +658,16 @@ const CompilerInfo &cachedCompilerInfo(const std::string &CacheDir) {
 }
 #endif
 
+/// Loaded libraries, keyed by the cache fingerprint — repeated runs of the
+/// same program (bench iterations, server sessions) dlopen once.
+std::mutex RegistryMu;
+std::map<uint64_t, std::shared_ptr<const AotLibrary>> &registry() {
+  static std::map<uint64_t, std::shared_ptr<const AotLibrary>> R;
+  return R;
+}
+
+} // namespace
+
 /// Structural fingerprint over *every* block of the program, eligible or
 /// not. The library's per-program tables (Fns / BlockCost / Enterable) are
 /// indexed by block number across the whole program, but the emitted C
@@ -666,7 +676,7 @@ const CompilerInfo &cachedCompilerInfo(const std::string &CacheDir) {
 /// never key those tables by the source hash alone; this hash
 /// disambiguates them. (The .so file itself may still be shared: the
 /// object code reads constants and registers through the ctx at run time.)
-uint64_t structHash(const RegProgram &RP) {
+uint64_t monsem::structHash(const RegProgram &RP) {
   uint64_t H = 1469598103934665603ull;
   auto Mix = [&H](uint64_t V) {
     for (int I = 0; I < 8; ++I) {
@@ -675,7 +685,7 @@ uint64_t structHash(const RegProgram &RP) {
     }
   };
   Mix(RP.Blocks.size());
-  for (const RegBlock &B : RP.Blocks) {
+  for (const CodeBlock &B : RP.Blocks) {
     Mix(B.Code.size());
     Mix(B.NumRegs);
     Mix(B.Leaf);
@@ -691,16 +701,6 @@ uint64_t structHash(const RegProgram &RP) {
   }
   return H;
 }
-
-/// Loaded libraries, keyed by the cache fingerprint — repeated runs of the
-/// same program (bench iterations, server sessions) dlopen once.
-std::mutex RegistryMu;
-std::map<uint64_t, std::shared_ptr<const AotLibrary>> &registry() {
-  static std::map<uint64_t, std::shared_ptr<const AotLibrary>> R;
-  return R;
-}
-
-} // namespace
 
 std::shared_ptr<const AotLibrary>
 monsem::aotLoad(const RegProgram &RP, const std::string &CacheDir,

@@ -124,6 +124,12 @@ const std::string &aotCompilerId();
 /// `--disasm` under `--backend=vm-aot`).
 std::string aotEmitSource(const RegProgram &RP);
 
+/// Structural fingerprint over every block of \p RP, emitted or not: block
+/// and instruction counts, window sizes, the leaf and live flags, and the
+/// raw bytes of every register instruction. Part of the loaded-library
+/// registry key (see AotEmit.cpp).
+uint64_t structHash(const RegProgram &RP);
+
 /// Emits, compiles (or reuses the fingerprint-keyed cached shared object
 /// under \p CacheDir — defaulting to a per-user directory under TMPDIR),
 /// loads, and resolves the native library for \p RP. Returns null with a

@@ -61,12 +61,10 @@ public:
         RunOptions Opts)
       : RegVMBase(RP, Hooks, Opts), Lib(Lib) {}
 
-  RunResult run();
-
 private:
   const AotLibrary &Lib;
 
-  RunResult runTrampoline(Governor &Gov);
+  RunResult dispatch(Governor &Gov) override;
 
   /// Every shim follows the same protocol: adopt the machine state the
   /// native caller synced into the ctx, perform the operation exactly as
@@ -202,7 +200,7 @@ private:
 /// whole block fits under the governor's next pause, hand control to the
 /// native function. Everything the native code cannot (or must not) do
 /// comes back here.
-RunResult AotVM::runTrampoline(Governor &Gov) {
+RunResult AotVM::dispatch(Governor &Gov) {
   MONSEM_REGVM_LOCAL_STATE
   const AotBlockFn *Fns = Lib.fns().data();
   const uint64_t *BCost = Lib.blockCost().data();
@@ -274,38 +272,6 @@ RunResult AotVM::runTrampoline(Governor &Gov) {
     if (Failed)
       return errorResult();
   }
-}
-
-RunResult AotVM::run() {
-  if (Opts.ResumeFrom) {
-    std::string Err;
-    if (!restoreCheckpoint(*Opts.ResumeFrom, Err)) {
-      RunResult Res;
-      Res.setOutcome(Outcome::Error);
-      Res.Error = "cannot resume from checkpoint: " + Err;
-      return Res;
-    }
-    StepBase = Steps = Opts.ResumeFrom->header().SavedSteps;
-  }
-  Governor Gov(Opts.Limits, Opts.MaxSteps, StepBase,
-               Opts.CheckpointSink ? Opts.CheckpointEveryNSteps : 0);
-  A.setByteLimit(Gov.arenaByteCap());
-  if (!Opts.ResumeFrom) {
-    Frames.push_back(RFrame{
-        0, static_cast<uint32_t>(RP.Blocks[0].Code.size() - 1), 0, 0,
-        nullptr});
-    ensureRegs(RP.Blocks[0].NumRegs);
-  }
-  try {
-    return runTrampoline(Gov);
-  } catch (const MonitorAbort &E) {
-    fail(E.what());
-  } catch (const DurabilityAbort &E) {
-    fail(E.what());
-  } catch (const ArenaLimitExceeded &) {
-    return stopResult(Outcome::MemoryExceeded);
-  }
-  return errorResult();
 }
 
 } // namespace

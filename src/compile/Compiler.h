@@ -1,8 +1,9 @@
-//===- compile/Compiler.h - AST -> bytecode ---------------------*- C++ -*-===//
+//===- compile/Compiler.h - AST -> register bytecode ------------*- C++ -*-===//
 ///
 /// \file
-/// Compiles an (annotated) L_lambda program to bytecode. See Bytecode.h for
-/// the role this plays in the paper's specialization pipeline.
+/// Compiles an (annotated) L_lambda program to register bytecode. See
+/// Bytecode.h for the role this plays in the paper's specialization
+/// pipeline.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +22,7 @@ struct CompileOptions {
   /// off, annotations compile to nothing — the standard semantics'
   /// obliviousness (Definition 7.1) performed at compile time.
   bool Instrument = true;
-  /// Emit TailCall for calls in tail position.
-  bool TailCalls = true;
-  /// Run the peephole superinstruction fusion pass after emission.
+  /// Fuse superinstructions in each block's finish step.
   bool Fuse = true;
 };
 
@@ -36,26 +35,27 @@ std::unique_ptr<CompiledProgram> compileProgram(const Expr *Program,
                                                 DiagnosticSink &Diags,
                                                 CompileOptions Opts = {});
 
-/// Peephole pass: rewrites hot adjacent instruction pairs into the fused
-/// superinstructions of Bytecode.h. Jump-target aware (never fuses a pair
-/// whose second instruction is a branch target) and probe-transparent (no
-/// rule matches MonPre/MonPost, so probes break every fusion window).
-/// Returns the number of pairs fused. Exposed for tests; compileProgram
-/// runs it when CompileOptions::Fuse is set.
-size_t fuseSuperinstructions(CompiledProgram &P);
+/// The finish step compileProgram runs on every block once its body is
+/// emitted. On input, each instruction carries its opcode, Cost and A/B
+/// operands, with variable references as binder depths (Var in S1), and
+/// Height[pc] is the static operand-stack height before it. The step
+///  1. fuses hot adjacent pairs into the superinstructions of Bytecode.h
+///     when \p Fuse (jump-target aware: never fuses a pair whose second
+///     instruction is a branch target; probe-transparent: no rule matches
+///     MonPre/MonPost),
+///  2. marks unreachable pcs kDeadHeight (the entry block's final Halt is
+///     reachable through the sentinel frame),
+///  3. picks the leaf convention for non-entry blocks without MkClosure,
+///     PushRecEnv or probes, and assigns every register operand from the
+///     height, and
+///  4. sets NumRegs, the currier mark and ReusableFrame.
+/// Returns the number of pairs fused. Exposed for tests that hand-build
+/// code.
+size_t finishBlock(CodeBlock &B, bool IsEntry, bool Fuse);
 
-/// Computes CodeBlock::ReusableFrame for every block (no MkClosure, no
-/// probes). Run after fusion by compileProgram; exposed for tests.
-void markReusableFrames(CompiledProgram &P);
-
-/// Lowers a compiled (optionally fused) program to the register tier: a
-/// block-local allocator maps each stack slot to a fixed virtual register
-/// from the static stack height at every pc, producing exactly one RInstr
-/// per stack instruction at the same (block, pc) with the same Cost. The
-/// returned program borrows \p P (constants, names, probes), which must
-/// outlive it. Never returns nullptr for a program compileProgram
-/// produced; hand-built bytecode with inconsistent stack heights or
-/// operands beyond the register encoding gets nullptr.
+/// The register view of \p P: O(1), no copy; \p P must outlive it.
+/// Compiled programs are register code already, so this does no work; it
+/// is kept for embedders that hold a RegProgram by pointer.
 std::unique_ptr<RegProgram> lowerToRegisters(const CompiledProgram &P);
 
 } // namespace monsem

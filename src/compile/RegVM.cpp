@@ -1,19 +1,18 @@
 //===- compile/RegVM.cpp - Register-window virtual machine ----------------===//
 ///
 /// \file
-/// Executes register-tier programs (see RegLower.cpp): every compiled
-/// program runs here (`--backend=vm` and `--backend=vm-reg`), or in the
-/// native trampoline of AotRun.cpp, which shares this machine's state and
-/// handlers. The machine keeps one contiguous Value array partitioned into
-/// per-call register windows; leaf calls write the argument to register 0
-/// of a fresh window instead of allocating an environment node. Step
-/// counts follow the stack bytecode's Cost accounting at the same pcs,
-/// probe event streams match the CEK machine's (probes run only in blocks
-/// that keep the full environment chain), and a checkpoint spills the
-/// register windows to the canonical MSCK form — a flat operand stack plus
-/// environment chain at stack-bytecode coordinates — so checkpoints are
-/// portable across vm, vm-reg and vm-aot, and readable from any earlier
-/// writer of that form.
+/// Executes compiled register code: every compiled program runs here
+/// (`--backend=vm` and `--backend=vm-reg`), or in the native trampoline of
+/// AotRun.cpp, which shares this machine's state, handlers and run(). The
+/// machine keeps one contiguous Value array partitioned into per-call
+/// register windows; leaf calls write the argument to register 0 of a
+/// fresh window instead of allocating an environment node. Step counts
+/// follow each instruction's Cost, probe event streams match the CEK
+/// machine's (probes run only in blocks that keep the full environment
+/// chain), and a checkpoint spills the register windows to the canonical
+/// MSCK form — a flat operand stack plus environment chain at (block, pc)
+/// coordinates — so checkpoints are portable across vm, vm-reg and
+/// vm-aot, and readable from any earlier writer of that form.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,17 +23,16 @@ using namespace monsem::regvm_impl;
 
 namespace {
 
-/// The pure register-tier interpreter. Dispatch loops live here; all
-/// machine state and the call/checkpoint protocol are inherited from
-/// RegVMBase (shared with the AOT trampoline in AotRun.cpp).
+/// The pure register-tier interpreter. Its dispatch loop lives here; all
+/// machine state, run() and the call/checkpoint protocol are
+/// inherited from RegVMBase (shared with the AOT trampoline in
+/// AotRun.cpp).
 class RegVM final : public RegVMBase {
 public:
   using RegVMBase::RegVMBase;
 
-  RunResult run();
-
 private:
-  RunResult runThreaded(Governor &Gov);
+  RunResult dispatch(Governor &Gov) override;
 };
 
 /// Token-threaded dispatch (computed goto, a GNU extension GCC and Clang
@@ -42,7 +40,7 @@ private:
 /// unfused programs report identical step counts at every instruction
 /// boundary; a checkpoint rolls back the fetched-but-unexecuted
 /// instruction.
-RunResult RegVM::runThreaded(Governor &Gov) {
+RunResult RegVM::dispatch(Governor &Gov) {
   static const void *Tbl[] = {
       &&L_Const,      &&L_Var,           &&L_MkClosure,
       &&L_Jump,       &&L_JumpIfFalse,   &&L_Call,
@@ -99,40 +97,6 @@ Dispatch:
 #include "compile/RegVMDispatch.inc"
 #undef VM_CASE
 #undef VM_NEXT
-}
-
-RunResult RegVM::run() {
-  if (Opts.ResumeFrom) {
-    std::string Err;
-    if (!restoreCheckpoint(*Opts.ResumeFrom, Err)) {
-      RunResult Res;
-      Res.setOutcome(Outcome::Error);
-      Res.Error = "cannot resume from checkpoint: " + Err;
-      return Res;
-    }
-    StepBase = Steps = Opts.ResumeFrom->header().SavedSteps;
-  }
-  Governor Gov(Opts.Limits, Opts.MaxSteps, StepBase,
-               Opts.CheckpointSink ? Opts.CheckpointEveryNSteps : 0);
-  A.setByteLimit(Gov.arenaByteCap());
-  if (!Opts.ResumeFrom) {
-    // Sentinel frame: a top-level tail call returns to the entry block's
-    // Halt, whose operand is register 0 of the entry window.
-    Frames.push_back(RFrame{
-        0, static_cast<uint32_t>(RP.Blocks[0].Code.size() - 1), 0, 0,
-        nullptr});
-    ensureRegs(RP.Blocks[0].NumRegs);
-  }
-  try {
-    return runThreaded(Gov);
-  } catch (const MonitorAbort &E) {
-    fail(E.what());
-  } catch (const DurabilityAbort &E) {
-    fail(E.what());
-  } catch (const ArenaLimitExceeded &) {
-    return stopResult(Outcome::MemoryExceeded);
-  }
-  return errorResult();
 }
 
 } // namespace

@@ -13,9 +13,11 @@
 ///                    the same opcode handlers at deopt points.
 ///
 /// Both drivers include this header and derive from `RegVMBase`, so the
-/// apply path (leaf windows, currier collapse, frame reuse), environment
+/// run() (resume, governor, sentinel frame, abort arms), the apply
+/// path (leaf windows, currier collapse, frame reuse), environment
 /// discipline, failure messages, and the MSCK checkpoint spill/restore are
-/// one implementation — the tiers cannot drift apart observably.
+/// one implementation — the tiers cannot drift apart observably; each
+/// tier supplies only its dispatch loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,11 +52,48 @@ struct RFrame {
 class RegVMBase {
 public:
   RegVMBase(const RegProgram &RP, MonitorHooks *Hooks, RunOptions Opts)
-      : RP(RP), Src(*RP.Src), Hooks(Hooks), Opts(Opts) {}
+      : Src(*RP.Src), Hooks(Hooks), Opts(Opts) {}
+  virtual ~RegVMBase() = default;
 
+  /// Runs the program to an outcome: resumes from Opts.ResumeFrom when
+  /// set, arms the governor, pushes the sentinel frame on a fresh start,
+  /// and turns monitor, durability and arena aborts into results. Each
+  /// tier supplies only its dispatch loop.
+  RunResult run() {
+    if (Opts.ResumeFrom) {
+      std::string Err;
+      if (!restoreCheckpoint(*Opts.ResumeFrom, Err)) {
+        RunResult Res;
+        Res.setOutcome(Outcome::Error);
+        Res.Error = "cannot resume from checkpoint: " + Err;
+        return Res;
+      }
+      StepBase = Steps = Opts.ResumeFrom->header().SavedSteps;
+    }
+    Governor Gov(Opts.Limits, Opts.MaxSteps, StepBase,
+                 Opts.CheckpointSink ? Opts.CheckpointEveryNSteps : 0);
+    A.setByteLimit(Gov.arenaByteCap());
+    if (!Opts.ResumeFrom) {
+      // Sentinel frame: a top-level tail call returns to the entry block's
+      // Halt, whose operand is register 0 of the entry window.
+      Frames.push_back(RFrame{
+          0, static_cast<uint32_t>(Src.Blocks[0].Code.size() - 1), 0, 0,
+          nullptr});
+      ensureRegs(Src.Blocks[0].NumRegs);
+    }
+    try {
+      return dispatch(Gov);
+    } catch (const MonitorAbort &E) {
+      fail(E.what());
+    } catch (const DurabilityAbort &E) {
+      fail(E.what());
+    } catch (const ArenaLimitExceeded &) {
+      return stopResult(Outcome::MemoryExceeded);
+    }
+    return errorResult();
+  }
 
 protected:
-  const RegProgram &RP;
   const CompiledProgram &Src;
   MonitorHooks *Hooks;
   RunOptions Opts;
@@ -75,10 +114,12 @@ protected:
   bool FpComputed = false;
   std::deque<std::string> RevivedStrings;
 
+  /// The tier's dispatch loop, entered once per run.
+  virtual RunResult dispatch(Governor &Gov) = 0;
 
-  /// A hash of the *stack* disassembly of the source program — the
-  /// fingerprint every MSCK VM checkpoint has carried — so checkpoints
-  /// cross tiers and stay readable across releases.
+  /// A hash of the program's stack-notation listing — the fingerprint
+  /// every MSCK VM checkpoint has carried — so checkpoints cross tiers and
+  /// stay readable across releases.
   uint64_t fingerprint() {
     if (!FpComputed) {
       Fp = fnv1aHash(Src.disassemble());
@@ -150,7 +191,7 @@ protected:
     switch (Fn.kind()) {
     case ValueKind::CompiledClosure: {
       VMClosure *C = Fn.asCompiledClosure();
-      const RegBlock &CB = RP.Blocks[C->Block];
+      const CodeBlock &CB = Src.Blocks[C->Block];
       if (CB.Currier) {
         // Curried-parameter collapse: the callee's whole body is
         // `MkClosure CurrierInner; Ret`. Perform both instructions here —
@@ -177,7 +218,7 @@ protected:
           Env = C->Env;
           return;
         }
-        uint32_t NewBase = Base + RP.Blocks[Block].NumRegs;
+        uint32_t NewBase = Base + Src.Blocks[Block].NumRegs;
         ensureRegs(NewBase + CB.NumRegs);
         Frames.push_back(RFrame{Block, PC, Base, Base + Dst, Env});
         Regs[NewBase] = Arg;
@@ -196,7 +237,7 @@ protected:
       if (Tail) {
         ensureRegs(Base + CB.NumRegs);
       } else {
-        uint32_t NewBase = Base + RP.Blocks[Block].NumRegs;
+        uint32_t NewBase = Base + Src.Blocks[Block].NumRegs;
         ensureRegs(NewBase + CB.NumRegs);
         Frames.push_back(RFrame{Block, PC, Base, Base + Dst, Env});
         Base = NewBase;
@@ -260,7 +301,7 @@ protected:
   /// closure's captured chain. Leaf blocks create no closures, so that
   /// node is never shared — materializing a fresh one yields an isomorphic
   /// value graph.
-  EnvNode *materializeLeafEnv(const RegBlock &B, uint32_t FrameBase,
+  EnvNode *materializeLeafEnv(const CodeBlock &B, uint32_t FrameBase,
                               EnvNode *Outer) {
     return extendEnv(A, Outer, B.Param, Regs[FrameBase]);
   }
@@ -288,16 +329,16 @@ protected:
     ValueGraphWriter W(nullptr, nullptr);
     Serializer &RS = W.roots();
     uint32_t CurPC = PC - 1; // The instruction that did not execute.
-    const RegBlock &CB = RP.Blocks[Block];
+    const CodeBlock &CB = Src.Blocks[Block];
     RS.writeU32(Block);
     RS.writeU32(CurPC);
     W.writeEnvNodeRef(CB.Leaf ? materializeLeafEnv(CB, Base, Env) : Env);
     uint32_t NS = CB.Height[CurPC];
     for (const RFrame &F : Frames)
-      NS += RP.Blocks[F.Block].Height[F.PC] - 1;
+      NS += Src.Blocks[F.Block].Height[F.PC] - 1;
     RS.writeU32(NS);
     for (const RFrame &F : Frames) {
-      const RegBlock &FB = RP.Blocks[F.Block];
+      const CodeBlock &FB = Src.Blocks[F.Block];
       uint32_t Len = FB.Height[F.PC] - 1;
       for (uint32_t J = 0; J < Len; ++J)
         W.writeValue(Regs[F.Base + FB.TempBase + J]);
@@ -306,7 +347,7 @@ protected:
       W.writeValue(Regs[Base + CB.TempBase + J]);
     RS.writeU32(static_cast<uint32_t>(Frames.size()));
     for (const RFrame &F : Frames) {
-      const RegBlock &FB = RP.Blocks[F.Block];
+      const CodeBlock &FB = Src.Blocks[F.Block];
       RS.writeU32(F.Block);
       RS.writeU32(F.PC);
       W.writeEnvNodeRef(FB.Leaf ? materializeLeafEnv(FB, F.Base, F.Env)
@@ -329,7 +370,7 @@ protected:
   }
 
   bool validCodeRef(uint32_t B, uint32_t Pc) const {
-    return B < RP.Blocks.size() && Pc < RP.Blocks[B].Code.size();
+    return B < Src.Blocks.size() && Pc < Src.Blocks[B].Code.size();
   }
 
   /// Rebuilds register windows from the stack-form payload: window bases
@@ -405,7 +446,7 @@ protected:
         Err = "corrupt checkpoint: call frame return address out of range";
         return false;
       }
-      const RegBlock &FB = RP.Blocks[FBlock];
+      const CodeBlock &FB = Src.Blocks[FBlock];
       uint32_t FH = FB.Height[FPC];
       if (FH == kDeadHeight || FH < 1) {
         Err = "corrupt checkpoint: call frame resumes at an invalid "
@@ -439,7 +480,7 @@ protected:
       Err = D.error();
       return false;
     }
-    const RegBlock &CB = RP.Blocks[Block];
+    const CodeBlock &CB = Src.Blocks[Block];
     uint32_t TopLen = CB.Height[PC];
     if (TopLen == kDeadHeight || StackIdx + TopLen != Flat.size() ||
         B + CB.NumRegs > (1u << 28)) {
@@ -564,7 +605,7 @@ inline bool intPrim2Fast(Prim2Op Op, int64_t X, int64_t Y, Arena &A,
 /// dispatch so result construction and exception unwinds always see the
 /// current count.
 #define MONSEM_REGVM_LOCAL_STATE                                               \
-  const RegBlock *const Blocks = RP.Blocks.data();                             \
+  const CodeBlock *const Blocks = Src.Blocks.data();                           \
   uint32_t Block = this->Block;                                                \
   uint32_t PC = this->PC;                                                      \
   uint32_t Base = this->Base;                                                  \

@@ -5,25 +5,14 @@
 #include "compile/AotEmit.h"
 #include "compile/Compiler.h"
 
-using namespace monsem;
+#include <iostream>
+#include <mutex>
 
-/// compileProgram never emits bytecode the lowering refuses (it rejects
-/// programs whose operand stack or binder depth the register encoding
-/// cannot hold), so only hand-built bytecode gets this result.
-static RunResult loweringError() {
-  RunResult R;
-  R.setOutcome(Outcome::Error);
-  R.Error = "bytecode cannot be lowered to the register tier (inconsistent "
-            "stack heights, or operands beyond the register encoding)";
-  return R;
-}
+using namespace monsem;
 
 RunResult monsem::runCompiled(const CompiledProgram &Program,
                               MonitorHooks *Hooks, RunOptions Opts) {
-  std::unique_ptr<RegProgram> RP = lowerToRegisters(Program);
-  if (!RP)
-    return loweringError();
-  return runRegisterProgram(*RP, Hooks, Opts);
+  return runRegisterProgram(RegProgram(Program), Hooks, Opts);
 }
 
 RunResult monsem::evaluateCompiled(const Cascade &C, const Expr *Program,
@@ -46,20 +35,26 @@ RunResult monsem::evaluateCompiled(const Cascade &C, const Expr *Program,
     return R;
   }
   // Every compiled program runs on the register tier.
-  std::unique_ptr<RegProgram> RP = lowerToRegisters(*CP);
-  if (!RP)
-    return loweringError();
-  // Native tier on top of the lowering: load (emit + compile + cache) the
-  // leaf-block library; any reason it cannot be used — no C compiler,
-  // nothing eligible — degrades to the register interpreter
-  // with identical observable behavior.
+  RegProgram RP(*CP);
+  // Native tier on top: load (emit + compile + cache) the leaf-block
+  // library; any reason it cannot be used — no C compiler, a failed
+  // compile — degrades to the register interpreter with identical
+  // answers and output, and one warning per process on stderr.
   std::shared_ptr<const AotLibrary> AotLib;
-  if (Opts.VMAot)
-    AotLib = aotLoad(*RP, Opts.AotCacheDir, nullptr);
+  if (Opts.VMAot) {
+    std::string WhyNot;
+    AotLib = aotLoad(RP, Opts.AotCacheDir, &WhyNot);
+    static std::once_flag Warned;
+    if (!AotLib)
+      std::call_once(Warned, [&] {
+        std::cerr << "warning: vm-aot unavailable (" << WhyNot
+                  << "); running on vm-reg\n";
+      });
+  }
   auto Run = [&](MonitorHooks *H) {
     if (AotLib)
-      return runAotProgram(*RP, *AotLib, H, Opts);
-    return runRegisterProgram(*RP, H, Opts);
+      return runAotProgram(RP, *AotLib, H, Opts);
+    return runRegisterProgram(RP, H, Opts);
   };
   if (C.empty()) {
     RunResult R = Run(nullptr);

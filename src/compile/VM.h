@@ -8,8 +8,8 @@
 ///
 /// One executor runs every compiled program: the register tier
 /// (compile/RegVM.cpp, with the native leaf blocks of compile/AotRun.cpp on
-/// top). The stack bytecode is its front end and the canonical checkpoint
-/// form; nothing interprets it directly.
+/// top). Compiled programs are register code; checkpoints spill its
+/// windows to the canonical flat-operand-stack form.
 ///
 /// Monitoring probes dispatch through the same MonitorHooks interface as
 /// the CEK machine, so any toolbox monitor/cascade runs unchanged on
@@ -27,25 +27,26 @@
 
 namespace monsem {
 
-/// Lowers \p Program (lowerToRegisters) and runs it on the register tier.
-/// \p Hooks may be null (standard semantics). Honors
-/// RunOptions::MaxSteps/Limits, Algebra and ReuseTailFrames (self-tail-call
-/// env reuse); the strategy is always strict. Each instruction advances
-/// the step counter by its Cost (its source-step count), so fused and
-/// unfused programs report identical step counts. Bytecode the lowering
-/// refuses (which compileProgram never emits) is an Outcome::Error.
+/// Runs \p Program on the register tier. \p Hooks may be null (standard
+/// semantics). Honors RunOptions::MaxSteps/Limits, Algebra and
+/// ReuseTailFrames (self-tail-call env reuse); the strategy is always
+/// strict. Each instruction advances the step counter by its Cost (its
+/// source-step count), so fused and unfused programs report identical
+/// step counts.
 RunResult runCompiled(const CompiledProgram &Program,
                       MonitorHooks *Hooks = nullptr, RunOptions Opts = {});
 
-/// Runs an already-lowered program on the register tier, so callers that
-/// run one program many times lower it once. Same contract as
+/// Runs the register view of a compiled program. Same contract as
 /// runCompiled. \p RP.Src must outlive the run.
 RunResult runRegisterProgram(const RegProgram &RP,
                              MonitorHooks *Hooks = nullptr,
                              RunOptions Opts = {});
 
 /// Convenience: compile-and-run under a cascade, mirroring
-/// evaluate(Cascade, Expr). Validates disjointness first.
+/// evaluate(Cascade, Expr). Validates disjointness first. Under
+/// RunOptions::VMAot, a program the native tier cannot load runs on the
+/// register interpreter, and the first such run in the process prints
+/// `warning: vm-aot unavailable (<reason>); running on vm-reg` on stderr.
 RunResult evaluateCompiled(const Cascade &C, const Expr *Program,
                            RunOptions Opts = {});
 

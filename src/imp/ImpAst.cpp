@@ -4,6 +4,8 @@
 
 #include "syntax/Printer.h"
 
+#include <algorithm>
+
 using namespace monsem;
 
 namespace {
@@ -21,10 +23,12 @@ void print(std::string &Out, const Cmd *C) {
     return;
   }
   case CmdKind::Seq: {
-    const auto *S = cast<SeqCmd>(C);
-    print(Out, S->First);
-    Out += "; ";
-    print(Out, S->Second);
+    const char *Sep = "";
+    for (const Cmd *I : seqItems(cast<SeqCmd>(C))) {
+      Out += Sep;
+      print(Out, I);
+      Sep = "; ";
+    }
     return;
   }
   case CmdKind::If: {
@@ -68,6 +72,16 @@ void print(std::string &Out, const Cmd *C) {
 
 } // namespace
 
+std::vector<const Cmd *> monsem::seqItems(const SeqCmd *S) {
+  std::vector<const Cmd *> Items;
+  const Cmd *C = S;
+  for (; const auto *Seq = dyn_cast<SeqCmd>(C); C = Seq->First)
+    Items.push_back(Seq->Second);
+  Items.push_back(C);
+  std::reverse(Items.begin(), Items.end());
+  return Items;
+}
+
 std::string monsem::printCmd(const Cmd *C) {
   std::string Out;
   print(Out, C);
@@ -82,12 +96,10 @@ void monsem::collectCmdAnnotations(const Cmd *C,
   case CmdKind::Print:
   case CmdKind::Read:
     return;
-  case CmdKind::Seq: {
-    const auto *S = cast<SeqCmd>(C);
-    collectCmdAnnotations(S->First, Out);
-    collectCmdAnnotations(S->Second, Out);
+  case CmdKind::Seq:
+    for (const Cmd *I : seqItems(cast<SeqCmd>(C)))
+      collectCmdAnnotations(I, Out);
     return;
-  }
   case CmdKind::If: {
     const auto *I = cast<IfCmd>(C);
     collectCmdAnnotations(I->Then, Out);
@@ -114,9 +126,18 @@ const Cmd *monsem::stripCmdAnnotations(ImpContext &Ctx, const Cmd *C) {
   case CmdKind::Read:
     return C; // Leaves share structure (expressions are untouched).
   case CmdKind::Seq: {
-    const auto *S = cast<SeqCmd>(C);
-    return Ctx.mkSeq(stripCmdAnnotations(Ctx, S->First),
-                     stripCmdAnnotations(Ctx, S->Second), C->loc());
+    // Rebuild the left-nested spine bottom-up, iteratively (seqItems).
+    std::vector<const SeqCmd *> Spine;
+    const Cmd *Leftmost = C;
+    while (const auto *S = dyn_cast<SeqCmd>(Leftmost)) {
+      Spine.push_back(S);
+      Leftmost = S->First;
+    }
+    const Cmd *Acc = stripCmdAnnotations(Ctx, Leftmost);
+    for (auto It = Spine.rbegin(); It != Spine.rend(); ++It)
+      Acc = Ctx.mkSeq(Acc, stripCmdAnnotations(Ctx, (*It)->Second),
+                      (*It)->loc());
+    return Acc;
   }
   case CmdKind::If: {
     const auto *I = cast<IfCmd>(C);

@@ -157,6 +157,12 @@ private:
   Arena A;
 };
 
+/// The commands of the `;` chain \p S in execution order. The parser
+/// builds chains left-nested and as long as the program, so walks over
+/// commands iterate along the spine with this instead of recursing down
+/// it, which would overflow the C stack on a long straight-line program.
+std::vector<const Cmd *> seqItems(const SeqCmd *S);
+
 /// Renders a command in concrete syntax on one line.
 std::string printCmd(const Cmd *C);
 

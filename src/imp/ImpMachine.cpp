@@ -405,12 +405,10 @@ void monsem::collectImpExprAnnotations(const Cmd *Program,
   case CmdKind::Assign:
     collectAnnotations(cast<AssignCmd>(Program)->Value, Out);
     return;
-  case CmdKind::Seq: {
-    const auto *S = cast<SeqCmd>(Program);
-    collectImpExprAnnotations(S->First, Out);
-    collectImpExprAnnotations(S->Second, Out);
+  case CmdKind::Seq:
+    for (const Cmd *I : seqItems(cast<SeqCmd>(Program)))
+      collectImpExprAnnotations(I, Out);
     return;
-  }
   case CmdKind::If: {
     const auto *I = cast<IfCmd>(Program);
     collectAnnotations(I->Cond, Out);

@@ -88,6 +88,16 @@ inline std::string deepImpProgram(unsigned Levels) {
   return S + "; print x";
 }
 
+/// A straight-line Imp program of \p N `x := x + 1; print x` steps after
+/// `x := 0`. The parser builds the `;` chain left-nested in a loop, so no
+/// nesting bound applies: every walk over it must iterate the chain.
+inline std::string longImpSequence(unsigned N) {
+  std::string S = "x := 0";
+  for (unsigned I = 0; I < N; ++I)
+    S += "; x := x + 1; print x";
+  return S;
+}
+
 } // namespace monsem::testing
 
 #endif // MONSEM_TESTS_DEEPPROGRAMS_H

@@ -217,7 +217,7 @@ std::string emittedBlocks(const RegProgram &RP) {
   static const std::regex Fn("uint64_t monsem_aot_b([0-9]+)\\(MonsemAotCtx");
   std::string Out;
   for (std::sregex_iterator I(Src.begin(), Src.end(), Fn), E; I != E; ++I) {
-    const RegBlock &B = RP.Blocks[std::stoul((*I)[1].str())];
+    const CodeBlock &B = RP.Blocks[std::stoul((*I)[1].str())];
     Out += B.Name + ":";
     for (const RInstr &In : B.Code)
       Out += " " + std::to_string(static_cast<int>(In.Code)) + "/" +
@@ -302,7 +302,7 @@ TEST(AotLiveness, WronglyDeadBlockRunsInterpretedWithSameObservables) {
   ASSERT_FALSE(WantEvents.empty());
 
   for (bool ForceDead : {false, true}) {
-    RP->Blocks[Hot].Live = !ForceDead;
+    C.CP->Blocks[Hot].Live = !ForceDead;
     std::string Why;
     auto Lib = aotLoad(*RP, /*CacheDir=*/"", &Why);
     ASSERT_NE(Lib, nullptr) << Why;

@@ -47,6 +47,13 @@ CliResult runShell(const std::string &RawCmd) {
   return CliResult{WEXITSTATUS(Status), Out};
 }
 
+/// stdout alone, stderr discarded: for comparisons a vm-aot fallback
+/// warning must not disturb.
+CliResult runCliStdout(const std::string &Args) {
+  return runShell("{ " + std::string(MONSEM_CLI_PATH) + " " + Args +
+                  " 2>/dev/null; }");
+}
+
 std::string sample(const char *Name) {
   return std::string(MONSEM_SOURCE_DIR) + "/examples/programs/" + Name;
 }
@@ -132,8 +139,8 @@ TEST(CliTest, AotBackendAgreesWithInterpreter) {
   // Works with or without a system C compiler: vm-aot degrades to the
   // register interpreter when compilation is unavailable, so the value
   // and exit code are compiler-independent.
-  CliResult Interp = runCli(sample("church.lam"));
-  CliResult Aot = runCli(sample("church.lam") + " --backend=vm-aot");
+  CliResult Interp = runCliStdout(sample("church.lam"));
+  CliResult Aot = runCliStdout(sample("church.lam") + " --backend=vm-aot");
   EXPECT_EQ(Interp.ExitCode, 0);
   EXPECT_EQ(Aot.ExitCode, 0) << Aot.Output;
   EXPECT_EQ(Interp.Output, Aot.Output);
@@ -142,11 +149,38 @@ TEST(CliTest, AotBackendAgreesWithInterpreter) {
 TEST(CliTest, AotBackendRunsMonitors) {
   // The native tier deopts around every probe window, so monitored output
   // is byte-for-byte the register tier's.
-  CliResult Reg = runCli(sample("fac.lam") + " --backend=vm-reg --profile");
-  CliResult Aot = runCli(sample("fac.lam") + " --backend=vm-aot --profile");
+  CliResult Reg =
+      runCliStdout(sample("fac.lam") + " --backend=vm-reg --profile");
+  CliResult Aot =
+      runCliStdout(sample("fac.lam") + " --backend=vm-aot --profile");
   EXPECT_EQ(Reg.ExitCode, 0) << Reg.Output;
   EXPECT_EQ(Aot.ExitCode, 0) << Aot.Output;
   EXPECT_EQ(Reg.Output, Aot.Output);
+}
+
+TEST(CliTest, AotFallbackWarnsOnceOnStderr) {
+  // With no usable C compiler, vm-aot runs on the register interpreter:
+  // stdout and exit code are vm-reg's, and stderr carries exactly one
+  // line saying why.
+  std::string Err = ::testing::TempDir() + "cli_aot_fallback_stderr.txt";
+  std::string Args = sample("fac.lam") + " --profile";
+  CliResult Aot =
+      runShell("{ MONSEM_AOT_CC=/nonexistent/cc " + std::string(MONSEM_CLI_PATH) +
+               " " + Args + " --backend=vm-aot 2>'" + Err + "'; }");
+  CliResult Reg = runCliStdout(Args + " --backend=vm-reg");
+  EXPECT_EQ(Aot.ExitCode, 0) << Aot.Output;
+  EXPECT_EQ(Reg.ExitCode, 0) << Reg.Output;
+  EXPECT_EQ(Aot.Output, Reg.Output);
+  std::ifstream In(Err);
+  std::string Line, Rest;
+  ASSERT_TRUE(std::getline(In, Line));
+  const std::string Head = "warning: vm-aot unavailable (";
+  const std::string Tail = "); running on vm-reg";
+  ASSERT_GT(Line.size(), Head.size() + Tail.size()) << Line;
+  EXPECT_EQ(Line.substr(0, Head.size()), Head);
+  EXPECT_EQ(Line.substr(Line.size() - Tail.size()), Tail);
+  EXPECT_FALSE(std::getline(In, Rest)) << Rest;
+  std::remove(Err.c_str());
 }
 
 TEST(CliTest, AotDisasmShowsEmittedC) {
@@ -799,6 +833,23 @@ TEST(CliNestingLimit, ImpAtTheBoundRunsUnderEveryImpMonitor) {
        {"", "--imp-profile", "--imp-trace", "--imp-watch=x", "--print-ast"}) {
     CliResult R = runCli(Path + " --imp " + Flags);
     EXPECT_EQ(R.ExitCode, 0) << Flags << ": " << R.Output.substr(0, 200);
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(CliNestingLimit, ImpLongSequenceRunsUnderEveryImpMonitor) {
+  std::string Path = ::testing::TempDir() + "cli_nesting_imp_long.imp";
+  std::ofstream(Path) << monsem::testing::longImpSequence(100000);
+  CliResult Plain = runCliStdout(Path + " --imp");
+  EXPECT_EQ(Plain.ExitCode, 0) << Plain.Output.substr(0, 200);
+  for (const char *Flags :
+       {"--imp-profile", "--imp-trace", "--imp-watch=x", "--print-ast"}) {
+    CliResult R = runCliStdout(Path + " --imp " + Flags);
+    EXPECT_EQ(R.ExitCode, 0) << Flags << ": " << R.Output.substr(0, 200);
+    // The program's output lines come first, then the monitor report.
+    EXPECT_NE(R.Output.find(Plain.Output.substr(0, Plain.Output.find("store:"))),
+              std::string::npos)
+        << Flags;
   }
   std::remove(Path.c_str());
 }

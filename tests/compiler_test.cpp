@@ -278,21 +278,3 @@ TEST(CompilerTest, BinderDepthBeyondTheRegisterEncodingIsADiagnostic) {
     EXPECT_NE(D.str().find("binders out"), std::string::npos) << D.str();
   });
 }
-
-TEST(CompilerTest, BytecodeTheRegisterTierCannotLowerIsAnError) {
-  // Hand-built bytecode whose entry Halt sees two values: inconsistent
-  // stack heights, which compileProgram never emits. No fallback runs it.
-  CompiledProgram P;
-  P.Blocks.emplace_back();
-  P.Blocks[0].Name = "<main>";
-  P.ConstPool.push_back(Value::mkInt(1, P.ConstArena));
-  for (Op Code : {Op::Const, Op::Const, Op::Halt}) {
-    Instr I;
-    I.Code = Code;
-    P.Blocks[0].Code.push_back(I);
-  }
-  EXPECT_EQ(lowerToRegisters(P), nullptr);
-  RunResult R = runCompiled(P);
-  EXPECT_EQ(R.St, Outcome::Error);
-  EXPECT_NE(R.Error.find("cannot be lowered"), std::string::npos) << R.Error;
-}

@@ -129,3 +129,34 @@ TEST(NestingLimitTest, ImpCommandsAtTheBoundRunUnderEveryImpMonitor) {
     EXPECT_EQ(R.Store, Plain.Store);
   }
 }
+
+TEST(NestingLimitTest, ImpLongSequenceRunsUnderEveryImpMonitor) {
+  // 200,001 commands in one left-nested `;` chain: printing, stripping,
+  // cascade validation and every monitored run walk it without recursing
+  // down the chain.
+  constexpr unsigned N = 100000;
+  ImpContext Ctx;
+  DiagnosticSink Diags;
+  const Cmd *C =
+      parseImpProgram(Ctx, monsem::testing::longImpSequence(N), Diags);
+  ASSERT_NE(C, nullptr) << Diags.str();
+  EXPECT_EQ(printCmd(C), monsem::testing::longImpSequence(N));
+  EXPECT_EQ(printCmd(stripCmdAnnotations(Ctx, C)), printCmd(C));
+  ImpRunResult Plain = runImp(C);
+  ASSERT_TRUE(Plain.Ok) << Plain.Error;
+  ASSERT_EQ(Plain.Output.size(), N);
+  EXPECT_EQ(Plain.Output.back(), std::to_string(N));
+  ImpStmtProfiler Prof;
+  ImpWatchMonitor Watch("x");
+  ImpTracer Trc;
+  for (const ImpMonitor *M : {static_cast<const ImpMonitor *>(&Prof),
+                              static_cast<const ImpMonitor *>(&Watch),
+                              static_cast<const ImpMonitor *>(&Trc)}) {
+    ImpCascade Cas;
+    Cas.use(*M);
+    ImpRunResult R = runImp(Cas, C);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.Output, Plain.Output);
+    EXPECT_EQ(R.Store, Plain.Store);
+  }
+}

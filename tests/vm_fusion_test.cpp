@@ -1,11 +1,12 @@
 //===- tests/vm_fusion_test.cpp - Superinstruction fusion & tail reuse -----===//
 //
-// The peephole fusion pass and the self-tail-call frame-reuse optimisation
+// Superinstruction fusion and the self-tail-call frame-reuse optimisation
 // are pure implementation refinements: Section 9.1's specialized program
 // must stay observationally identical to the source machine — same
 // answers, same step counts, same monitor states. These tests pin that
 // down differentially (fused vs. unfused bytecode on the register tier vs.
-// the CEK machine, monitored and unmonitored), plus the structural properties the pass must respect:
+// the CEK machine, monitored and unmonitored), plus the structural
+// properties fusion must respect:
 // jump targets block fusion, probes break fusion windows, and frame reuse
 // never fires when a closure can capture the activation frame.
 //
@@ -82,12 +83,12 @@ TEST(VMFusionTest, FusionProducesSuperinstructions) {
   DiagnosticSink D;
   CompileOptions Raw;
   Raw.Fuse = false;
-  auto CP = compileProgram(P->root(), D, Raw);
+  auto Unfused = compileProgram(P->root(), D, Raw);
+  auto CP = compileProgram(P->root(), D);
+  ASSERT_NE(Unfused, nullptr);
   ASSERT_NE(CP, nullptr);
-  size_t Before = CP->numInstructions();
-  size_t Fused = fuseSuperinstructions(*CP);
-  EXPECT_GT(Fused, 0u);
-  EXPECT_LT(CP->numInstructions(), Before);
+  EXPECT_LT(CP->numInstructions(), Unfused->numInstructions());
+  EXPECT_EQ(Unfused->disassemble().find("varconstprim2"), std::string::npos);
   std::string Dis = CP->disassemble();
   // `n < 2` is Var;Const;Prim2;JumpIfFalse: two rounds of fusion collapse
   // it to a single compare-and-branch pair.
@@ -113,11 +114,13 @@ TEST(VMFusionTest, StepCountsAreIdenticalFusedVsUnfused) {
 
 // A branch landing *between* a fusable pair must block fusion: the fused
 // instruction would skip the landing pad's first half. Handcrafted
-// bytecode, since the compiler never emits this shape with the second
-// instruction of a pair as a jump target except via `if` joins.
+// register code (opcodes, operands and the operand-stack height before
+// each instruction, the finish step's input), since the compiler never
+// emits this shape with the second instruction of a pair as a jump target
+// except via `if` joins.
 namespace {
 
-std::unique_ptr<CompiledProgram> mkJumpTargetProgram(bool Cond) {
+std::unique_ptr<CompiledProgram> mkJumpTargetProgram(bool Cond, bool Fuse) {
   auto P = std::make_unique<CompiledProgram>();
   P->Blocks.emplace_back();
   CodeBlock &B = P->Blocks[0];
@@ -126,11 +129,12 @@ std::unique_ptr<CompiledProgram> mkJumpTargetProgram(bool Cond) {
     P->ConstPool.push_back(V);
     return static_cast<uint32_t>(P->ConstPool.size() - 1);
   };
-  auto Emit = [&](Op Code, uint32_t A = 0) {
-    Instr I;
+  auto Emit = [&](uint16_t Height, ROp Code, uint32_t A = 0) {
+    RInstr I;
     I.Code = Code;
     I.A = A;
     B.Code.push_back(I);
+    B.Height.push_back(Height);
   };
   uint32_t Zero = AddConst(Value::mkInt(0, P->ConstArena));
   uint32_t CondIdx = AddConst(Value::mkBool(Cond));
@@ -141,19 +145,20 @@ std::unique_ptr<CompiledProgram> mkJumpTargetProgram(bool Cond) {
   uint32_t Add = static_cast<uint32_t>(Prim2Op::Add);
   // Well-formed: both paths reach the join with the same stack, and Halt
   // sees exactly the answer.
-  Emit(Op::Const, Zero);             // 0
-  Emit(Op::Const, Zero);             // 1: fuses with 2 -> constprim2
-  Emit(Op::Prim2, Add);              // 2
-  Emit(Op::Const, CondIdx);          // 3
-  Emit(Op::JumpIfFalse, 8);          // 4
-  Emit(Op::Const, Ten);              // 5
-  Emit(Op::Const, One);              // 6
-  Emit(Op::Jump, 10);                // 7
-  Emit(Op::Const, Twenty);           // 8
-  Emit(Op::Const, Two);              // 9: must NOT fuse with 10
-  Emit(Op::Prim2, Add);              // 10: Jump target
-  Emit(Op::Prim2, Add);              // 11: (0 + 0) + the branch's sum
-  Emit(Op::Halt);                    // 12
+  Emit(0, ROp::Const, Zero);             // 0
+  Emit(1, ROp::Const, Zero);             // 1: fuses with 2 -> constprim2
+  Emit(2, ROp::Prim2, Add);              // 2
+  Emit(1, ROp::Const, CondIdx);          // 3
+  Emit(2, ROp::JumpIfFalse, 8);          // 4
+  Emit(1, ROp::Const, Ten);              // 5
+  Emit(2, ROp::Const, One);              // 6
+  Emit(3, ROp::Jump, 10);                // 7
+  Emit(1, ROp::Const, Twenty);           // 8
+  Emit(2, ROp::Const, Two);              // 9: must NOT fuse with 10
+  Emit(3, ROp::Prim2, Add);              // 10: Jump target
+  Emit(2, ROp::Prim2, Add);              // 11: (0 + 0) + the branch's sum
+  Emit(1, ROp::Halt);                    // 12
+  finishBlock(B, /*IsEntry=*/true, Fuse);
   return P;
 }
 
@@ -161,9 +166,8 @@ std::unique_ptr<CompiledProgram> mkJumpTargetProgram(bool Cond) {
 
 TEST(VMFusionTest, JumpTargetBlocksFusion) {
   for (bool Cond : {true, false}) {
-    auto Raw = mkJumpTargetProgram(Cond);
-    auto Fused = mkJumpTargetProgram(Cond);
-    fuseSuperinstructions(*Fused);
+    auto Raw = mkJumpTargetProgram(Cond, /*Fuse=*/false);
+    auto Fused = mkJumpTargetProgram(Cond, /*Fuse=*/true);
 
     // Exactly the (1,2) pair fuses; the (9,10) pair is protected because
     // instruction 10 is the Jump's landing pad.
@@ -171,9 +175,14 @@ TEST(VMFusionTest, JumpTargetBlocksFusion) {
     std::string Dis = Fused->disassemble();
     EXPECT_EQ(countSubstr(Dis, "constprim2"), 1u) << Dis;
     EXPECT_EQ(countSubstr(Dis, "prim2 +"), 2u) << Dis;
-    // Both forms lower, so the run below is the register tier's.
-    EXPECT_NE(lowerToRegisters(*Raw), nullptr);
-    EXPECT_NE(lowerToRegisters(*Fused), nullptr);
+    // Every pc is reachable and keeps its height, so the run below is the
+    // register tier's on exactly this code.
+    for (const auto *P : {Raw.get(), Fused.get()}) {
+      const CodeBlock &B = P->Blocks[0];
+      ASSERT_EQ(B.Height.size(), B.Code.size());
+      for (uint16_t H : B.Height)
+        EXPECT_NE(H, kDeadHeight);
+    }
 
     RunResult RRaw = runCompiled(*Raw);
     RunResult RFused = runCompiled(*Fused);

@@ -1,15 +1,14 @@
 //===- tests/vm_register_test.cpp - Register tier differential -------------===//
 //
-// The register tier is the one executor of compiled bytecode. Lowering is
-// 1:1 per instruction (same block, same pc, same cost), so step counts,
-// probe positions and checkpoint coordinates are those of the stack
-// bytecode, fused or not: a run of the fused program must be
+// The register tier is the one executor of compiled bytecode, and
+// compiled programs are register code: each instruction is one step at its
+// (block, pc), fused or not, so a run of the fused program must be
 // observationally identical to a run of the unfused one — same answers,
 // same step counts, same probe event streams, same final monitor states —
 // and agree with the CEK machine on answers, final states and probe texts.
 // Checkpoints must be portable across vm, vm-reg and vm-aot. These tests
-// pin that down differentially, plus golden disassembly listings for both
-// encodings and the structural invariants the lowering pass must respect.
+// pin that down differentially, plus golden listings in both notations and
+// the leaf-window conventions of the register layout.
 //
 //===----------------------------------------------------------------------===//
 
@@ -121,17 +120,11 @@ RunResult runTier(Tier T, const Cascade &C, const Expr *Program,
     R.Error = Diags.str();
     return R;
   }
-  std::unique_ptr<RegProgram> RP = lowerToRegisters(*CP);
-  EXPECT_NE(RP, nullptr) << "register lowering failed";
-  if (!RP) {
-    RunResult R;
-    R.Error = "lowering failed";
-    return R;
-  }
+  RegProgram RP(*CP);
   std::shared_ptr<const AotLibrary> Lib;
   if (T == Tier::Aot) {
     std::string Why;
-    Lib = aotLoad(*RP, /*CacheDir=*/"", &Why);
+    Lib = aotLoad(RP, /*CacheDir=*/"", &Why);
     EXPECT_NE(Lib, nullptr) << "aotLoad failed: " << Why;
     if (!Lib) {
       RunResult R;
@@ -141,8 +134,8 @@ RunResult runTier(Tier T, const Cascade &C, const Expr *Program,
   }
   auto Run = [&](MonitorHooks *H) {
     if (Lib)
-      return runAotProgram(*RP, *Lib, H, Opts);
-    return runRegisterProgram(*RP, H, Opts);
+      return runAotProgram(RP, *Lib, H, Opts);
+    return runRegisterProgram(RP, H, Opts);
   };
   if (C.empty())
     return Run(nullptr);
@@ -271,37 +264,8 @@ TEST(RegisterDisasmTest, GoldenProbeListing) {
 }
 
 //===----------------------------------------------------------------------===//
-// Structural invariants of the lowering pass.
+// Leaf windows and frame reuse.
 //===----------------------------------------------------------------------===//
-
-TEST(RegisterLoweringTest, LoweringIsOneToOne) {
-  // Step-count identity, governor-pause identity, and cross-tier
-  // checkpoint portability all rest on the same invariant: every stack
-  // instruction lowers to exactly one register instruction at the same
-  // (block, pc) with the same cost.
-  for (unsigned Seed = 0; Seed < 20; ++Seed) {
-    AstContext Ctx;
-    const Expr *Prog = genProgram(Ctx, Seed);
-    DiagnosticSink D;
-    CompileOptions CO;
-    CO.Instrument = true;
-    auto CP = compileProgram(Prog, D, CO);
-    ASSERT_NE(CP, nullptr);
-    auto RP = lowerToRegisters(*CP);
-    ASSERT_NE(RP, nullptr) << printExpr(Prog);
-    ASSERT_EQ(RP->Blocks.size(), CP->Blocks.size());
-    for (size_t B = 0; B < CP->Blocks.size(); ++B) {
-      const CodeBlock &SB = CP->Blocks[B];
-      const RegBlock &RB = RP->Blocks[B];
-      ASSERT_EQ(RB.Code.size(), SB.Code.size()) << printExpr(Prog);
-      for (size_t Pc = 0; Pc < SB.Code.size(); ++Pc) {
-        EXPECT_EQ(static_cast<unsigned>(RB.Code[Pc].Code),
-                  static_cast<unsigned>(SB.Code[Pc].Code));
-        EXPECT_EQ(RB.Code[Pc].Cost, SB.Code[Pc].Cost);
-      }
-    }
-  }
-}
 
 TEST(RegisterLoweringTest, LeafCallsSkipEnvAllocation) {
   auto Small = parseOk("letrec fib = lambda n. if n < 2 then n else "

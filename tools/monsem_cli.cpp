@@ -806,19 +806,21 @@ int runFunctional(const Options &O, const std::string &Source) {
       return 2;
     }
     if (O.Disasm) {
-      // `--backend=vm` shows the stack bytecode (the compiler's output and
-      // the checkpoint coordinates); vm-reg shows the register program the
-      // run executes, and vm-aot adds the C the emitter hands to the
-      // system compiler for the eligible leaf blocks. A program that does
-      // not compile prints nothing here; the run reports why.
+      // `--backend=vm` lists the compiled program in stack notation (the
+      // text the checkpoint fingerprint hashes); vm-reg lists the same
+      // program in register notation, and vm-aot adds the C the emitter
+      // hands to the system compiler for the eligible leaf blocks. A
+      // program that does not compile prints nothing here; the run
+      // reports why.
       DiagnosticSink Diags;
       if (auto CP = compileProgram(Program, Diags)) {
         if (O.B == Backend::VM) {
           std::cout << CP->disassemble();
-        } else if (auto RP = lowerToRegisters(*CP)) {
-          std::cout << RP->disassemble();
+        } else {
+          RegProgram RP(*CP);
+          std::cout << RP.disassemble();
           if (O.B == Backend::VMAot)
-            std::cout << '\n' << aotEmitSource(*RP);
+            std::cout << '\n' << aotEmitSource(RP);
         }
       }
     }
