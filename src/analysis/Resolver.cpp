@@ -4,6 +4,7 @@
 
 #include "semantics/Primitives.h"
 
+#include <algorithm>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -71,8 +72,7 @@ private:
       // A lambda anywhere inside an enclosing lambda's body can capture
       // that body's activation frame — none of the enclosing frames may
       // be reused after this point.
-      for (auto &Entry : LamStack)
-        Entry.second = false;
+      clearReusable();
       LamStack.push_back({L, true});
       // The body opens a fresh frame per application, so letrecs directly
       // under it coalesce into *that* frame, never the enclosing one.
@@ -81,6 +81,7 @@ private:
       Scope.pop_back();
       L->FrameReusable = LamStack.back().second;
       LamStack.pop_back();
+      Cleared = std::min<size_t>(Cleared, LamStack.size());
       return;
     }
     case ExprKind::If: {
@@ -152,8 +153,7 @@ private:
       // env at the annotated expression, so no enclosing activation frame
       // may be reused (monitored sites keep paper-exact allocation), and
       // the inner expression is not in tail position.
-      for (auto &Entry : LamStack)
-        Entry.second = false;
+      clearReusable();
       visit(A->Inner, Level, Shape, Coalesce, /*Tail=*/false);
       return;
     }
@@ -189,11 +189,23 @@ private:
 
   uint32_t numBinders() const { return static_cast<uint32_t>(Scope.size()); }
 
+  /// Marks every lambda being visited as not reusable. Entries below the
+  /// watermark are cleared already, so each entry is cleared once while
+  /// it is on the stack and nested lambdas cost linear time, not
+  /// quadratic.
+  void clearReusable() {
+    for (size_t I = Cleared; I < LamStack.size(); ++I)
+      LamStack[I].second = false;
+    Cleared = LamStack.size();
+  }
+
   Resolution &R;
   std::vector<ScopeEntry> Scope;
   /// Lambdas currently being visited, each with a still-reusable flag any
   /// inner lambda or annotation clears (see LamExpr::FrameReusable).
   std::vector<std::pair<const LamExpr *, bool>> LamStack;
+  /// LamStack[0, Cleared) are all false (see clearReusable).
+  size_t Cleared = 0;
   std::unordered_set<const Expr *> Visited;
 };
 

@@ -118,7 +118,7 @@ namespace {
 uint64_t blockCostBound(const CodeBlock &B) {
   uint64_t C = 0;
   for (const RInstr &I : B.Code)
-    C += I.Cost;
+    C += I.Cost + (isCurriedCall(I.Code) ? curryRestCost(I.B) : 0);
   return C;
 }
 
@@ -141,6 +141,8 @@ bool emittableOp(ROp O) {
   case ROp::Prim2JumpIfFalse:
   case ROp::VarCall:
   case ROp::VarTailCall:
+  case ROp::CurryCall:
+  case ROp::CurryTailCall:
     return true;
   default:
     // MkClosure/PushRecEnv/probes never appear in leaf blocks; PatchRec,
@@ -160,13 +162,26 @@ bool emittableBlock(const CodeBlock &B, uint32_t Index) {
   return true;
 }
 
+/// The pcs a fused curried call skips (the calls after its slot). Native
+/// code never runs them: the fused call either completes or hands its own
+/// pc to the interpreter, so they get no code and are never entered.
+std::vector<uint8_t> spineInterior(const CodeBlock &B) {
+  std::vector<uint8_t> In(B.Code.size(), 0);
+  for (size_t Pc = 0; Pc < B.Code.size(); ++Pc)
+    if (isCurriedCall(B.Code[Pc].Code))
+      for (size_t J = 1; J < curryArity(B.Code[Pc].B); ++J)
+        In[Pc + J] = 1;
+  return In;
+}
+
 std::vector<uint8_t> enterablePcs(const CodeBlock &B) {
   std::vector<uint8_t> E(B.Code.size(), 0);
+  std::vector<uint8_t> In = spineInterior(B);
   if (!E.empty())
     E[0] = 1;
   for (size_t Pc = 0; Pc < B.Code.size(); ++Pc)
     if ((B.Code[Pc].Code == ROp::Call || B.Code[Pc].Code == ROp::VarCall) &&
-        Pc + 1 < B.Code.size())
+        Pc + 1 < B.Code.size() && !In[Pc + 1])
       E[Pc + 1] = 1;
   return E;
 }
@@ -265,11 +280,12 @@ private:
            "u; ctx->pc = " + num(PC + 1) + "u; ";
   }
 
-  /// Reads varref \p Ref into C lvalue \p T (leaf parameter register or an
-  /// inline walk of the environment chain with the letrec check).
+  /// Reads varref \p Ref into C lvalue \p T (a leaf parameter register or
+  /// an inline walk of the environment chain with the letrec check).
   void varref(uint16_t Ref, const char *T) {
-    if (Ref == kParamReg) {
-      O += std::string("  ") + T + " = regs[base];\n";
+    if (isParamRef(Ref)) {
+      O += std::string("  ") + T + " = " +
+           reg(static_cast<uint16_t>(paramRegOf(Ref))) + ";\n";
       return;
     }
     O += "  { uint64_t n = ctx->env;\n";
@@ -398,13 +414,50 @@ private:
       if (Enter[Pc])
         O += "  case " + num(Pc) + "u: goto " + label(Pc) + ";\n";
     O += "  default: return AOT_BAIL;\n  }\n";
+    std::vector<uint8_t> Interior = spineInterior(RB);
     for (PC = 0; PC < RB.Code.size(); ++PC)
-      emitInstr(RB.Code[PC]);
+      if (!Interior[PC])
+        emitInstr(RB.Code[PC]);
     O += "}\n";
+  }
+
+  /// A fused curried call. A self tail call resets the window with the k
+  /// arguments and loops natively, as emitCall's self tail path does; any
+  /// other hands the instruction to the interpreter (AOT_BAIL at its own
+  /// pc, steps not yet charged), which pushes the frame and comes back
+  /// natively at the callee's entry.
+  void emitCurriedCall(const RInstr &I) {
+    const std::string Bail = "  ctx->steps = steps; ctx->block = " + num(BI) +
+                             "u; ctx->pc = " + num(PC) +
+                             "u; return AOT_BAIL;\n";
+    if (I.Code != ROp::CurryTailCall || I.A != BI) {
+      O += Bail;
+      return;
+    }
+    const uint32_t K = curryArity(I.B);
+    O += "  steps += " + num(I.Cost) + "u;\n";
+    varref(I.S2, "t0");
+    O += "  if (TAGOF(t0) == 5u) {\n";
+    // The arguments are temporaries, above the parameter registers they
+    // move to. Each passes through an empty asm so the C compiler cannot
+    // merge their loads into one vector load: the stores that just wrote
+    // them could not forward to it, which costs more than the loop body.
+    O += "    steps += " + num(curryRestCost(I.B)) + "u;\n";
+    for (uint32_t J = 0; J < K; ++J)
+      O += "    t1 = " + reg(I.S1 - J) + "; __asm__(\"\" : \"+r\"(t1)); " +
+           reg(J) + " = t1;\n";
+    O += "    ctx->env = CL_ENV(PTROF(t0));\n";
+    O += "    if (steps + " + num(BCost) +
+         "u >= ctx->next_pause) { ctx->steps = steps; ctx->block = " +
+         num(BI) + "u; ctx->pc = 0u; return AOT_YIELD; }\n";
+    O += "    goto " + label(0) + ";\n  }\n";
+    O += "  steps -= " + num(I.Cost) + "u;\n" + Bail;
   }
 
   void emitInstr(const RInstr &I) {
     O += label(PC) + ": ;\n";
+    if (isCurriedCall(I.Code))
+      return emitCurriedCall(I);
     O += "  steps += " + num(I.Cost) + "u;\n";
     switch (I.Code) {
     case ROp::Const:

@@ -96,13 +96,43 @@ enum class ROp : uint8_t {
   Prim2JumpIfFalse, ///< pc = A unless prim2<B.op>(r[S1], r[S2])
   VarCall,          ///< fn = varref S2, arg = r[S1]; result in r[D]
   VarTailCall,      ///< fn = varref S2, arg = r[S1]; tail-invoke
+
+  // Fused curried calls: a saturated call `f a1 ... ak` to a letrec-bound
+  // f whose bound is k directly nested lambdas. The instruction sits in
+  // the slot of the spine's VarCall and continues after the spine's last
+  // call; the k-1 calls in between stay in place, so pcs and heights are
+  // those of the unfused spine. Arguments: a_j in r[S1 - (j-1)], f is
+  // varref S2, the innermost block entered is Blocks[A], and B packs k
+  // with the cost of the skipped instructions (see packCurry). Cost is
+  // the VarCall's own; the rest is charged only when the whole spine runs
+  // fused, which it does only if it ends before the governor's next
+  // pause. Otherwise the instruction runs as its VarCall and the calls in
+  // place run one by one, so every pause point, fuel stop and checkpoint
+  // coordinate is the unfused spine's.
+  CurryCall,     ///< r[D] = f a1 ... ak; returns to the pc after the spine
+  CurryTailCall, ///< f a1 ... ak in tail position
 };
 
 /// Number of opcodes, fused included. Dispatch tables, the emitter and the
 /// disassemblers static_assert against this so a new opcode cannot be
 /// added without updating every consumer.
 inline constexpr unsigned kNumROps =
-    static_cast<unsigned>(ROp::VarTailCall) + 1;
+    static_cast<unsigned>(ROp::CurryTailCall) + 1;
+
+inline bool isCurriedCall(ROp O) {
+  return O == ROp::CurryCall || O == ROp::CurryTailCall;
+}
+
+/// Operand packing for CurryCall/CurryTailCall: the arity k in the low
+/// byte of B, and in the high byte the Cost of the k-1 calls the
+/// instruction skips plus the CurrierCost of the k-1 outer blocks. The
+/// compiler fuses a spine only when that sum plus the VarCall's Cost fits
+/// the 8-bit Cost ceiling, so both fields fit a byte.
+inline uint16_t packCurry(uint32_t Arity, uint32_t RestCost) {
+  return static_cast<uint16_t>(Arity | (RestCost << 8));
+}
+inline uint32_t curryArity(uint16_t B) { return B & 0xFF; }
+inline uint32_t curryRestCost(uint16_t B) { return B >> 8; }
 
 /// A variable reference operand (`varref` above): either an environment
 /// depth, or — in leaf blocks, where the parameter lives in register 0
@@ -113,11 +143,25 @@ inline constexpr unsigned kNumROps =
 /// before-initialization check the env path performs.
 inline constexpr uint16_t kParamReg = 0xFFFF;
 
+/// A k-parameter leaf copy (CodeBlock::CopyOf) keeps its k parameters in
+/// registers 0..k-1, and a varref names register j as kParamReg - j. The
+/// top kMaxParamRegs values are therefore registers, and the compiler
+/// keeps every binder depth below kFirstParamRef. In a copy, source depth
+/// d < k is the parameter in register k-1-d, and d >= k becomes
+/// environment depth d-k against the outermost closure's chain.
+inline constexpr uint32_t kMaxParamRegs = 256;
+inline constexpr uint16_t kFirstParamRef = kParamReg - (kMaxParamRegs - 1);
+inline bool isParamRef(uint16_t Ref) { return Ref >= kFirstParamRef; }
+inline uint32_t paramRegOf(uint16_t Ref) { return kParamReg - Ref; }
+inline uint16_t paramRef(uint32_t Reg) {
+  return static_cast<uint16_t>(kParamReg - Reg);
+}
+
 /// The largest register index a window may use, so the static operand
 /// stack of one block holds at most kMaxRegister - 1 values (a leaf block
 /// keeps its parameter in register 0, below the temporaries).
 /// compileProgram refuses programs that need more, and binder depths of
-/// kParamReg or more, so every operand it emits fits the encoding.
+/// kFirstParamRef or more, so every operand it emits fits the encoding.
 inline constexpr uint32_t kMaxRegister = 0x7FFF;
 inline constexpr uint32_t kMaxOperandStack = kMaxRegister - 1;
 
@@ -150,12 +194,15 @@ struct RInstr {
 };
 static_assert(sizeof(RInstr) == 16, "RInstr must stay two machine words");
 
+inline constexpr uint32_t kNoBlock = ~0u;
+
 /// One compiled lambda (or the program entry). `Leaf` blocks (no
 /// MkClosure, no PushRecEnv, no probes; never the entry block) keep their
-/// parameter in register 0 and allocate no environment node per call — the
-/// environment chain is materialized on demand only at checkpoint
-/// safepoints. Non-leaf blocks maintain the full environment chain, one
-/// node per binder, so probes observe the paper's environment unchanged.
+/// parameters in registers 0..TempBase-1 (one, except in k-parameter
+/// copies) and allocate no environment node per call — the environment
+/// chain is materialized on demand only at checkpoint safepoints.
+/// Non-leaf blocks maintain the full environment chain, one node per
+/// binder, so probes observe the paper's environment unchanged.
 struct CodeBlock {
   // The fields the executors read per call come first, in the first
   // cache line.
@@ -164,10 +211,12 @@ struct CodeBlock {
   /// Used by checkpoint spill/restore to map register windows to the
   /// canonical flat operand stack and back.
   std::vector<uint16_t> Height;
-  /// Registers per frame window: locals (1 in leaf blocks, 0 otherwise)
-  /// plus the block's maximal temporary count.
+  /// Registers per frame window: parameters (TempBase) plus the block's
+  /// maximal temporary count.
   uint32_t NumRegs = 0;
-  uint32_t TempBase = 0; ///< First temporary register (1 in leaf blocks).
+  /// First temporary register: the number of parameters held in
+  /// registers (1 in leaf blocks, k in k-parameter copies, 0 otherwise).
+  uint32_t TempBase = 0;
   bool Leaf = false;
   /// False when the block is a lambda inside the bound expression of a
   /// letrec whose binder no live code refers to (compileProgram's
@@ -183,18 +232,32 @@ struct CodeBlock {
   bool ReusableFrame = false;
   /// A *currier*: a non-entry block whose whole body is `MkClosure k; Ret`
   /// — the shape curried definitions (`\x. \y. ...`) compile to for every
-  /// outer parameter. Calls into a currier are collapsed by the register
-  /// tier's apply path: instead of pushing a register window, dispatching
-  /// two instructions, and popping it, the caller allocates the same env
-  /// node + closure pair inline and charges CurrierCost steps. Allocation
-  /// count, probe streams (curriers have none by construction), and total
-  /// step counts are unchanged; only the *interior* pause coordinate moves
-  /// to the caller's next instruction boundary (the fused-superinstruction
-  /// precedent). The block body is kept intact so checkpoints taken inside
-  /// it by older producers still resume.
+  /// outer parameter. Saturated calls to a known curried function skip
+  /// curriers altogether (CurryCall). The calls that remain — partial
+  /// applications, escaping or unknown functions, annotated spines, and a
+  /// CurryCall run as its VarCall next to a governor pause — are collapsed
+  /// by the register tier's apply path: instead of pushing a register
+  /// window, dispatching two instructions, and popping it, the caller
+  /// allocates the same env node + closure pair inline and charges
+  /// CurrierCost steps. Allocation count, probe streams (curriers have none
+  /// by construction), and total step counts are unchanged; only the
+  /// *interior* pause coordinate moves to the caller's next instruction
+  /// boundary (the fused-superinstruction precedent). The block body is
+  /// kept intact so checkpoints taken inside it by older producers still
+  /// resume.
   bool Currier = false;
   uint32_t CurrierInner = 0; ///< Block index the MkClosure captures.
   uint8_t CurrierCost = 0;   ///< MkClosure.Cost + Ret.Cost.
+  /// kNoBlock, or the block this k-parameter leaf copy copies: the
+  /// innermost block of a curried letrec function, with the same code and
+  /// heights, and its k = TempBase parameters in registers. The
+  /// parameters' binders are the Params of blocks CopyOf-k+1 .. CopyOf,
+  /// which the compiler numbers consecutively for a curried chain. Copies
+  /// follow every source block in Blocks; CurryCall enters them, nothing
+  /// else does, and checkpoints name CopyOf instead (at the same pc, with
+  /// the environment chain materialized), so copies appear in neither the
+  /// stack listing nor the fingerprint.
+  uint32_t CopyOf = kNoBlock;
   Symbol Param;     ///< Binder for Call (empty for the entry block).
   std::string Name; ///< Best-effort name for disassembly.
 };
@@ -217,6 +280,12 @@ struct CompiledProgram {
   std::vector<Symbol> Names;     ///< Binder names for PushRecEnv.
   std::vector<ProbeSite> Probes;
   bool Instrumented = false;
+
+  /// The block a checkpoint names for a frame in \p B: copies are
+  /// serialized as the block they copy.
+  uint32_t sourceBlock(uint32_t B) const {
+    return Blocks[B].CopyOf == kNoBlock ? B : Blocks[B].CopyOf;
+  }
 
   size_t numInstructions() const {
     size_t N = 0;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <optional>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -87,6 +88,20 @@ private:
   }
 };
 
+size_t fuseBlock(CodeBlock &B);
+void layoutBlock(CodeBlock &B, bool IsEntry, uint32_t Params);
+
+/// No MkClosure, PushRecEnv or probe: the body needs no environment node
+/// of its own, so a non-entry block like this keeps its parameters in
+/// registers.
+bool leafShaped(const CodeBlock &B) {
+  for (const RInstr &I : B.Code)
+    if (I.Code == ROp::MkClosure || I.Code == ROp::PushRecEnv ||
+        I.Code == ROp::MonPre || I.Code == ROp::MonPost)
+      return false;
+  return true;
+}
+
 class Compiler {
 public:
   Compiler(DiagnosticSink &Diags, CompileOptions Opts)
@@ -111,8 +126,17 @@ public:
     if (Failed)
       return nullptr;
     emit(0, 1, ROp::Halt);
-    for (size_t B = 0; B < Prog->Blocks.size(); ++B)
-      finishBlock(Prog->Blocks[B], B == 0, Opts.Fuse);
+    std::vector<CodeBlock> &Blocks = Prog->Blocks;
+    if (Opts.Fuse)
+      for (CodeBlock &B : Blocks)
+        fuseBlock(B);
+    std::vector<Site> Sites = planCurriedCalls();
+    for (size_t B = 0; B < Blocks.size(); ++B)
+      layoutBlock(Blocks[B], B == 0,
+                  Blocks[B].CopyOf == kNoBlock ? 1 : Blocks[B].TempBase);
+    for (const Site &S : Sites)
+      fuseCurriedCall(S);
+    markCurriedLiveness();
     return std::move(Prog);
   }
 
@@ -128,8 +152,149 @@ private:
   uint32_t InDeadBound = 0;
   bool Failed = false;
 
+  /// One entry per binder in scope, innermost last, numbered as
+  /// VarExpr::BinderDepth counts: the letrec for a letrec binder, null for
+  /// a lambda parameter.
+  std::vector<const LetrecExpr *> Binders;
+
+  /// A letrec whose bound is k >= 2 directly nested lambdas (PAPER.md
+  /// §9.1: its arity is static). Its blocks are Outer .. Outer+k-1, the
+  /// innermost last.
+  struct Curried {
+    uint32_t Arity;
+    uint32_t Outer;
+    uint32_t Refs = 0;  ///< Variable references to the binder.
+    uint32_t Fused = 0; ///< Those that head a fused saturated call.
+    uint32_t Target = 0; ///< Block the fused calls enter.
+  };
+  std::vector<Curried> Curries;
+  std::unordered_map<const LetrecExpr *, uint32_t> CurryOf;
+
+  /// A saturated call's VarCall at (Block, Pc), calling Curries[Index];
+  /// Rest is the Cost of what the fused call skips.
+  struct Site {
+    uint32_t Block;
+    uint32_t Pc;
+    uint32_t Index;
+    uint32_t Rest;
+  };
+
+  /// The Cost of what a fused call at (\p Block, \p Pc) to \p C skips:
+  /// the k-1 calls after the VarCall and the k-1 outer blocks' `MkClosure;
+  /// Ret`. Returns nullopt when the code is not that spine or the whole
+  /// would pass the 8-bit Cost ceiling (the call then stays unfused).
+  std::optional<uint32_t> spineRestCost(uint32_t Block, uint32_t Pc,
+                                        const Curried &C) const {
+    const std::vector<CodeBlock> &Blocks = Prog->Blocks;
+    const std::vector<RInstr> &Code = Blocks[Block].Code;
+    if (Pc + C.Arity > Code.size())
+      return std::nullopt;
+    uint32_t Rest = 0;
+    for (uint32_t J = 1; J < C.Arity; ++J) {
+      ROp O = Code[Pc + J].Code;
+      if (O != ROp::Call && (O != ROp::TailCall || J + 1 != C.Arity))
+        return std::nullopt;
+      Rest += Code[Pc + J].Cost;
+    }
+    for (uint32_t B = C.Outer; B + 1 < C.Outer + C.Arity; ++B) {
+      const std::vector<RInstr> &Body = Blocks[B].Code;
+      if (Body.size() != 2 || Body[0].Code != ROp::MkClosure ||
+          Body[0].A != B + 1 || Body[1].Code != ROp::Ret)
+        return std::nullopt;
+      Rest += Body[0].Cost + Body[1].Cost;
+    }
+    if (Code[Pc].Cost + Rest > 0xFF)
+      return std::nullopt;
+    return Rest;
+  }
+
+  /// Collects the saturated calls that fuse and clears every call-site
+  /// mark. A curried function with fused calls enters a k-parameter leaf
+  /// copy of its innermost block when that block is leaf-shaped (the copy
+  /// gets the fused calls of the block it copies), and the innermost block
+  /// itself otherwise. Runs after pair fusion, before registers are
+  /// assigned: copies are laid out with k parameters.
+  std::vector<Site> planCurriedCalls() {
+    std::vector<CodeBlock> &Blocks = Prog->Blocks;
+    std::vector<Site> Sites;
+    for (uint32_t B = 0; B < Blocks.size(); ++B) {
+      std::vector<RInstr> &Code = Blocks[B].Code;
+      for (uint32_t Pc = 0; Pc < Code.size(); ++Pc) {
+        RInstr &I = Code[Pc];
+        if ((I.Code != ROp::Var && I.Code != ROp::VarCall) || I.A == 0)
+          continue;
+        uint32_t Index = I.A - 1;
+        I.A = 0;
+        if (I.Code != ROp::VarCall)
+          continue;
+        if (std::optional<uint32_t> Rest =
+                spineRestCost(B, Pc, Curries[Index]))
+          Sites.push_back(Site{B, Pc, Index, *Rest});
+      }
+    }
+    std::vector<bool> Called(Curries.size(), false);
+    for (const Site &S : Sites)
+      Called[S.Index] = true;
+    const size_t SourceSites = Sites.size();
+    for (uint32_t Index = 0; Index < Curries.size(); ++Index) {
+      Curried &C = Curries[Index];
+      uint32_t Inner = C.Outer + C.Arity - 1;
+      C.Target = Inner;
+      if (!Called[Index] || !leafShaped(Blocks[Inner]))
+        continue;
+      C.Target = static_cast<uint32_t>(Blocks.size());
+      CodeBlock Copy = Blocks[Inner];
+      Copy.CopyOf = Inner;
+      Copy.TempBase = C.Arity; // Its parameters, for layoutBlock.
+      Blocks.push_back(std::move(Copy));
+      for (size_t J = 0; J < SourceSites; ++J)
+        if (Sites[J].Block == Inner)
+          Sites.push_back(Site{C.Target, Sites[J].Pc, Sites[J].Index,
+                               Sites[J].Rest});
+    }
+    return Sites;
+  }
+
+  /// Replaces the VarCall at \p S with the fused call, once registers are
+  /// assigned: S1 (the first argument) and S2 (f) carry over, and the
+  /// result goes where the spine's last call put it. A site in
+  /// unreachable code stays a VarCall.
+  void fuseCurriedCall(const Site &S) {
+    CodeBlock &B = Prog->Blocks[S.Block];
+    if (B.Height[S.Pc] == kDeadHeight)
+      return;
+    Curried &C = Curries[S.Index];
+    RInstr &I = B.Code[S.Pc];
+    const RInstr &Last = B.Code[S.Pc + C.Arity - 1];
+    const bool Tail = Last.Code == ROp::TailCall;
+    I.Code = Tail ? ROp::CurryTailCall : ROp::CurryCall;
+    I.A = C.Target;
+    I.B = packCurry(C.Arity, S.Rest);
+    I.D = Tail ? 0 : Last.D;
+    if (B.CopyOf == kNoBlock)
+      ++C.Fused;
+  }
+
+  /// A curried function whose every reference heads a fused call never
+  /// enters its outer blocks, nor its innermost one when a copy stands in
+  /// for it: they get Live = false, so the native tier emits no code for
+  /// them (PAPER.md §9.1: precompute only what runs). The register
+  /// interpreter still runs them for a checkpoint resumed inside one, or
+  /// for a fused call run unfused next to a governor pause.
+  void markCurriedLiveness() {
+    for (const Curried &C : Curries) {
+      if (C.Fused == 0 || C.Fused != C.Refs)
+        continue;
+      uint32_t Inner = C.Outer + C.Arity - 1;
+      for (uint32_t B = C.Outer; B < Inner; ++B)
+        Prog->Blocks[B].Live = false;
+      if (C.Target != Inner)
+        Prog->Blocks[Inner].Live = false;
+    }
+  }
+
   /// Appends \p Code with operand \p A to \p Block; \p H is the operand
-  /// stack height before it. Registers are assigned in finishBlock.
+  /// stack height before it. Registers are assigned in layoutBlock.
   RInstr &emit(uint32_t Block, uint32_t H, ROp Code, uint32_t A = 0) {
     CodeBlock &B = Prog->Blocks[Block];
     RInstr I;
@@ -173,6 +338,56 @@ private:
     return false;
   }
 
+  /// \p E with the annotations that compile to nothing stripped.
+  const Expr *bare(const Expr *E) const {
+    if (!Opts.Instrument)
+      while (const auto *N = dyn_cast<AnnotExpr>(E))
+        E = N->Inner;
+    return E;
+  }
+
+  /// The number of directly nested lambdas \p E is: each compiles to a
+  /// block whose body is the next one's `MkClosure; Ret`.
+  uint32_t lambdaDepth(const Expr *E) const {
+    uint32_t K = 0;
+    while (const auto *L = dyn_cast<LamExpr>(bare(E))) {
+      ++K;
+      E = L->Body;
+    }
+    return K;
+  }
+
+  /// The curried letrec function binder depth \p D names, if any.
+  Curried *curriedAt(uint32_t D) {
+    if (D >= Binders.size())
+      return nullptr;
+    auto It = CurryOf.find(Binders[Binders.size() - 1 - D]);
+    return It == CurryOf.end() ? nullptr : &Curries[It->second];
+  }
+
+  /// After \p A is emitted: when it saturates a call to a curried letrec
+  /// function (exactly k applications of the binder), its code ends in
+  /// `var f; call; ...; call`. The Var's unused A operand records the
+  /// function (index + 1) for planCurriedCalls.
+  void markSaturatedCall(uint32_t Block, const AppExpr *A) {
+    uint32_t N = 0;
+    const Expr *F = A;
+    while (const auto *Ap = dyn_cast<AppExpr>(F)) {
+      ++N;
+      F = bare(Ap->Fn);
+    }
+    const auto *V = dyn_cast<VarExpr>(F);
+    if (Failed || !V || V->Addr != VarExpr::AddrKind::Local)
+      return;
+    Curried *C = curriedAt(V->BinderDepth);
+    std::vector<RInstr> &Code = Prog->Blocks[Block].Code;
+    if (!C || C->Arity != N || Code.size() < N + 1)
+      return;
+    RInstr &Head = Code[Code.size() - N - 1];
+    if (Head.Code == ROp::Var)
+      Head.A = static_cast<uint32_t>(C - Curries.data()) + 1;
+  }
+
   /// Compiles \p E into \p Block with \p H values already on the block's
   /// operand stack; when \p Tail, the expression's value is the block's
   /// result (calls become TailCall; the caller then emits Ret/Halt after
@@ -208,16 +423,18 @@ private:
         return;
       switch (V->Addr) {
       case VarExpr::AddrKind::Local:
-        if (V->BinderDepth >= kParamReg) {
+        if (V->BinderDepth >= kFirstParamRef) {
           Diags.error(E->loc(), "variable '" + std::string(V->Name.str()) +
                                     "' is bound more than " +
-                                    std::to_string(kParamReg - 1) +
+                                    std::to_string(kFirstParamRef - 1) +
                                     " binders out; the register encoding "
                                     "reaches at most that far");
           Failed = true;
           return;
         }
         emit(Block, H, ROp::Var).S1 = static_cast<uint16_t>(V->BinderDepth);
+        if (Curried *C = curriedAt(V->BinderDepth))
+          ++C->Refs;
         return;
       case VarExpr::AddrKind::Global:
         // Free variables denote primitives (the initial environment); the
@@ -244,7 +461,9 @@ private:
       Prog->Blocks[Sub].Param = L->Param;
       Prog->Blocks[Sub].Name = "lambda " + std::string(L->Param.str());
       Prog->Blocks[Sub].Live = InDeadBound == 0;
+      Binders.push_back(nullptr);
       compileExpr(Sub, L->Body, /*Tail=*/true, /*H=*/0);
+      Binders.pop_back();
       emit(Sub, 1, ROp::Ret);
       emit(Block, H, ROp::MkClosure, Sub);
       return;
@@ -268,17 +487,26 @@ private:
       compileExpr(Block, A->Arg, /*Tail=*/false, H);
       compileExpr(Block, A->Fn, /*Tail=*/false, H + 1);
       emit(Block, H + 2, Tail ? ROp::TailCall : ROp::Call);
+      markSaturatedCall(Block, A);
       return;
     }
     case ExprKind::Letrec: {
       const auto *L = cast<LetrecExpr>(E);
       emit(Block, H, ROp::PushRecEnv, addName(L->Name));
+      Binders.push_back(L);
+      // The bound's first lambda becomes the next block (the Lam case).
+      if (uint32_t K = lambdaDepth(L->Bound); K >= 2) {
+        CurryOf.emplace(L, static_cast<uint32_t>(Curries.size()));
+        Curries.push_back(
+            Curried{K, static_cast<uint32_t>(Prog->Blocks.size())});
+      }
       const bool DeadBound = Dead.count(L) != 0;
       InDeadBound += DeadBound;
       compileExpr(Block, L->Bound, /*Tail=*/false, H);
       InDeadBound -= DeadBound;
       emit(Block, H + 1, ROp::PatchRec);
       compileExpr(Block, L->Body, Tail, H);
+      Binders.pop_back();
       if (!Tail)
         emit(Block, H + 1, ROp::PopEnv, 1);
       return;
@@ -436,8 +664,9 @@ size_t fuseBlock(CodeBlock &B) {
       B, [](const RInstr &X, const RInstr &Y) -> std::optional<RInstr> {
         if (X.Code != ROp::Var)
           return std::nullopt;
+        // A carries a saturated curried call's mark (markSaturatedCall).
         if (Y.Code == ROp::Call)
-          return mkFused(ROp::VarCall, 0, 0, 0, X.S1);
+          return mkFused(ROp::VarCall, X.A, 0, 0, X.S1);
         if (Y.Code == ROp::TailCall)
           return mkFused(ROp::VarTailCall, 0, 0, 0, X.S1);
         return std::nullopt;
@@ -456,16 +685,19 @@ size_t fuseBlock(CodeBlock &B) {
 
 /// Sets the register operands of \p I from \p H, the operand-stack height
 /// before it: the value pushed at height h lives in register TB + h. In a
-/// leaf block, variable references are rewritten: depth 0 becomes the
-/// kParamReg register reference, depth d >= 1 environment depth d-1
-/// against the closure's captured chain. Returns one past the highest
-/// register the instruction writes (0 when it writes none).
+/// leaf block, whose TB parameters sit in registers 0..TB-1, variable
+/// references are rewritten: depth d < TB becomes the reference to
+/// parameter register TB-1-d (kParamReg when TB is 1), depth d >= TB
+/// environment depth d-TB against the closure's captured chain. Returns
+/// one past the highest register the instruction writes (0 when it writes
+/// none).
 uint32_t assignRegisters(RInstr &I, unsigned H, uint32_t TB, bool Leaf) {
-  static_assert(kNumROps == 24, "new opcode: update assignRegisters()");
+  static_assert(kNumROps == 26, "new opcode: update assignRegisters()");
   auto Reg = [&](unsigned Slot) { return static_cast<uint16_t>(TB + Slot); };
   auto Ref = [&](uint16_t &Depth) {
     if (Leaf)
-      Depth = Depth == 0 ? kParamReg : Depth - 1;
+      Depth = Depth < TB ? paramRef(TB - 1 - Depth)
+                         : static_cast<uint16_t>(Depth - TB);
   };
   switch (I.Code) {
   case ROp::Const:
@@ -529,14 +761,17 @@ uint32_t assignRegisters(RInstr &I, unsigned H, uint32_t TB, bool Leaf) {
     Ref(I.S2);
     I.S1 = Reg(H - 1);
     return 0;
+  case ROp::CurryCall:
+  case ROp::CurryTailCall:
+    break; // Made from a VarCall after registers are assigned.
   }
   std::abort();
 }
 
-} // namespace
-
-size_t monsem::finishBlock(CodeBlock &B, bool IsEntry, bool Fuse) {
-  size_t Fused = Fuse ? fuseBlock(B) : 0;
+/// The layout half of finishBlock: reachability, the leaf convention
+/// (with \p Params parameters in registers), registers, NumRegs, the
+/// currier mark and ReusableFrame.
+void layoutBlock(CodeBlock &B, bool IsEntry, uint32_t Params) {
   const size_t N = B.Code.size();
 
   // Reachability. Forward-only control flow makes one left-to-right pass
@@ -559,17 +794,13 @@ size_t monsem::finishBlock(CodeBlock &B, bool IsEntry, bool Fuse) {
       Reached[Pc + 1] = true;
   }
 
-  B.Leaf = !IsEntry;
+  B.Leaf = !IsEntry && leafShaped(B);
   B.ReusableFrame = true;
-  for (const RInstr &I : B.Code) {
-    bool Captures = I.Code == ROp::MkClosure || I.Code == ROp::MonPre ||
-                    I.Code == ROp::MonPost;
-    if (Captures || I.Code == ROp::PushRecEnv)
-      B.Leaf = false;
-    if (Captures)
+  for (const RInstr &I : B.Code)
+    if (I.Code == ROp::MkClosure || I.Code == ROp::MonPre ||
+        I.Code == ROp::MonPost)
       B.ReusableFrame = false;
-  }
-  B.TempBase = B.Leaf ? 1 : 0;
+  B.TempBase = B.Leaf ? Params : 0;
 
   // Every window needs at least the parameter/result slot. Dead
   // instructions never execute; their operands are assigned at height 2
@@ -599,6 +830,13 @@ size_t monsem::finishBlock(CodeBlock &B, bool IsEntry, bool Fuse) {
       B.CurrierCost = static_cast<uint8_t>(Cost);
     }
   }
+}
+
+} // namespace
+
+size_t monsem::finishBlock(CodeBlock &B, bool IsEntry, bool Fuse) {
+  size_t Fused = Fuse ? fuseBlock(B) : 0;
+  layoutBlock(B, IsEntry, 1);
   return Fused;
 }
 
@@ -673,6 +911,10 @@ const char *opName(ROp O) {
     return "varcall";
   case ROp::VarTailCall:
     return "vartailcall";
+  case ROp::CurryCall:
+    return "curcall";
+  case ROp::CurryTailCall:
+    return "curtailcall";
   }
   std::abort();
 }
@@ -680,7 +922,7 @@ const char *opName(ROp O) {
 } // namespace
 
 std::string CompiledProgram::disassemble() const {
-  static_assert(kNumROps == 24,
+  static_assert(kNumROps == 26,
                 "new opcode: update opName() and disassemble()");
   auto P2 = [](uint32_t Raw) {
     return std::string(prim2Name(static_cast<Prim2Op>(Raw)));
@@ -688,17 +930,26 @@ std::string CompiledProgram::disassemble() const {
   std::string Out;
   for (size_t B = 0; B < Blocks.size(); ++B) {
     const CodeBlock &CB = Blocks[B];
+    // Leaf copies are an execution detail of fused curried calls; the
+    // listing (and so the checkpoint fingerprint) shows the source blocks.
+    if (CB.CopyOf != kNoBlock)
+      continue;
     // A varref operand as the binder depth the source counts (undoing the
     // leaf rewrite).
     auto Depth = [&CB](uint16_t Ref) {
       if (!CB.Leaf)
         return std::to_string(Ref);
-      return std::to_string(Ref == kParamReg ? 0 : uint32_t(Ref) + 1);
+      if (isParamRef(Ref))
+        return std::to_string(CB.TempBase - 1 - paramRegOf(Ref));
+      return std::to_string(uint32_t(Ref) + CB.TempBase);
     };
     Out += "block " + std::to_string(B) + " (" + CB.Name + "):\n";
     for (size_t I = 0; I < CB.Code.size(); ++I) {
       const RInstr &In = CB.Code[I];
-      Out += "  " + std::to_string(I) + ": " + opName(In.Code);
+      // A fused curried call is listed as the VarCall in its slot; the
+      // calls it skips follow in theirs.
+      Out += "  " + std::to_string(I) + ": " +
+             opName(isCurriedCall(In.Code) ? ROp::VarCall : In.Code);
       switch (In.Code) {
       case ROp::Prim1:
         Out += std::string(" ") + prim1Name(static_cast<Prim1Op>(In.A));
@@ -725,6 +976,8 @@ std::string CompiledProgram::disassemble() const {
         break;
       case ROp::VarCall:
       case ROp::VarTailCall:
+      case ROp::CurryCall:
+      case ROp::CurryTailCall:
         Out += " " + Depth(In.S2);
         break;
       case ROp::Ret:
@@ -762,13 +1015,24 @@ std::string CompiledProgram::disassemble() const {
 }
 
 std::string RegProgram::disassemble() const {
-  static_assert(kNumROps == 24,
+  static_assert(kNumROps == 26,
                 "new opcode: update RegProgram::disassemble()");
   auto R = [](uint16_t Idx) { return "r" + std::to_string(Idx); };
-  // A varref operand: the leaf parameter register or an env depth.
+  // A varref operand: a leaf parameter register or an env depth.
   auto V = [](uint16_t Ref) {
-    return Ref == kParamReg ? std::string("param")
-                            : "env[" + std::to_string(Ref) + "]";
+    if (!isParamRef(Ref))
+      return "env[" + std::to_string(Ref) + "]";
+    std::string P = "param";
+    if (uint32_t J = paramRegOf(Ref))
+      P += std::to_string(J);
+    return P;
+  };
+  // A fused curried call's arguments, first to last, and its target.
+  auto Args = [&R](const RInstr &In) {
+    std::string A = "(";
+    for (uint32_t J = 0; J < curryArity(In.B); ++J)
+      A += (J ? ", " : "") + R(static_cast<uint16_t>(In.S1 - J));
+    return A + ") -> block " + std::to_string(In.A);
   };
   auto P2 = [](uint16_t B) {
     return std::string(prim2Name(static_cast<Prim2Op>(unpackPrimOp(B))));
@@ -778,6 +1042,9 @@ std::string RegProgram::disassemble() const {
     const CodeBlock &RB = Blocks[B];
     Out += "block " + std::to_string(B) + " (" + RB.Name + ")";
     Out += RB.Leaf ? " leaf" : "";
+    if (RB.CopyOf != kNoBlock)
+      Out += " params=" + std::to_string(RB.TempBase) + " copy of " +
+             std::to_string(RB.CopyOf);
     Out += " regs=" + std::to_string(RB.NumRegs) + ":\n";
     for (size_t I = 0; I < RB.Code.size(); ++I) {
       const RInstr &In = RB.Code[I];
@@ -858,6 +1125,12 @@ std::string RegProgram::disassemble() const {
         break;
       case ROp::VarTailCall:
         Out += " " + V(In.S2) + "(" + R(In.S1) + ")";
+        break;
+      case ROp::CurryCall:
+        Out += " " + R(In.D) + " = " + V(In.S2) + Args(In);
+        break;
+      case ROp::CurryTailCall:
+        Out += " " + V(In.S2) + Args(In);
         break;
       }
       Out += '\n';

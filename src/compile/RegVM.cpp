@@ -50,6 +50,7 @@ RunResult RegVM::dispatch(Governor &Gov) {
       &&L_Halt,       &&L_VarVar,        &&L_VarPrim2,
       &&L_ConstPrim2, &&L_VarConstPrim2, &&L_VarVarPrim2,
       &&L_Prim2JumpIfFalse, &&L_VarCall, &&L_VarTailCall,
+      &&L_CurryCall,  &&L_CurryTailCall,
   };
   static_assert(sizeof(Tbl) / sizeof(Tbl[0]) == kNumROps,
                 "label table must cover every register opcode in enum order");

@@ -49,6 +49,25 @@ struct RFrame {
   uint32_t Dst;
   EnvNode *Env;
 };
+/// Moves a fused curried call's arguments a_1..a_k from absolute registers
+/// \p First, First-1, ..., First-k+1 to registers \p Dst..Dst+k-1 of the
+/// callee's window. A call's new window lies above its arguments; a tail
+/// call's is the caller's own window, whose dead temporaries may hold the
+/// arguments where the parameters go — then Dst is at or below them, and
+/// reversing them in place leaves a forward move.
+inline void moveCurriedArgs(Value *R, uint32_t Dst, uint32_t First,
+                            uint32_t K) {
+  const uint32_t Lo = First + 1 - K;
+  if (Lo >= Dst + K || First < Dst) {
+    for (uint32_t J = 0; J < K; ++J)
+      R[Dst + J] = R[First - J];
+    return;
+  }
+  std::reverse(R + Lo, R + First + 1);
+  for (uint32_t J = 0; J < K; ++J)
+    R[Dst + J] = R[Lo + J];
+}
+
 class RegVMBase {
 public:
   RegVMBase(const RegProgram &RP, MonitorHooks *Hooks, RunOptions Opts)
@@ -154,12 +173,12 @@ protected:
     return N->Val;
   }
 
-  /// Resolves a varref operand: the leaf parameter register, or an
+  /// Resolves a varref operand: a leaf parameter register, or an
   /// environment depth. Parameters can never be uninitialized (the unit
   /// marker is not a source value), so the register path needs no check.
   Value refVal(uint16_t Ref) {
-    if (Ref == kParamReg)
-      return Regs[Base];
+    if (isParamRef(Ref))
+      return Regs[Base + paramRegOf(Ref)];
     return envAt(Ref);
   }
 
@@ -283,6 +302,34 @@ protected:
     }
   }
 
+  /// The out-of-line arms of a fused curried call (CurryCall or
+  /// CurryTailCall) whose function value \p Fn is already read; the
+  /// leaf-copy arms are inline in RegVMDispatch.inc. When \p Fn is no
+  /// closure, or the spine would reach \p NextPause, the instruction runs
+  /// as the VarCall in its slot and the calls in place after it run one by
+  /// one, as in the unfused program. Otherwise the innermost block, which
+  /// has probes or closures, is entered with the paper's environment
+  /// chain: one node per parameter, without the intermediate closures.
+  void curryCall(const RInstr &I, Value Fn, bool Tail, uint64_t NextPause) {
+    if (!Fn.is(ValueKind::CompiledClosure) ||
+        Steps + curryRestCost(I.B) >= NextPause)
+      return apply(Fn, Regs[Base + I.S1], /*Tail=*/false, I.S1);
+    Steps += curryRestCost(I.B);
+    const uint32_t K = curryArity(I.B);
+    EnvNode *E = Fn.asCompiledClosure()->Env;
+    for (uint32_t J = 0; J < K; ++J)
+      E = extendEnv(A, E, Src.Blocks[I.A + 1 + J - K].Param,
+                    Regs[Base + I.S1 - J]);
+    if (!Tail) {
+      Frames.push_back(RFrame{Block, PC + K - 1, Base, Base + I.D, Env});
+      Base += Src.Blocks[Block].NumRegs;
+    }
+    ensureRegs(Base + Src.Blocks[I.A].NumRegs);
+    Block = I.A;
+    PC = 0;
+    Env = E;
+  }
+
   /// Probe entry points for the dispatch handlers. The environment is
   /// passed explicitly because the dispatch loops keep it in a local (see
   /// MONSEM_REGVM_LOCAL_STATE); `Steps` is synced every dispatch, so the
@@ -296,23 +343,32 @@ protected:
     Hooks->post(*S.Ann, *S.Inner, EnvView(E), V, Steps, A.bytesAllocated());
   }
 
-  /// The environment a leaf frame has in the canonical stack form: a fresh
-  /// node binding the parameter (held in the window's register 0) over the
-  /// closure's captured chain. Leaf blocks create no closures, so that
-  /// node is never shared — materializing a fresh one yields an isomorphic
-  /// value graph.
+  /// The environment a leaf frame has in the canonical stack form: fresh
+  /// nodes binding the parameters (held in the window's registers
+  /// 0..TempBase-1, outermost first) over the closure's captured chain.
+  /// For a k-parameter copy that is the chain the unfused curried call
+  /// builds: its outer nodes are captured only by intermediate closures
+  /// that die at once, and leaf blocks create no closures, so no node is
+  /// shared — materializing fresh ones yields an isomorphic value graph.
   EnvNode *materializeLeafEnv(const CodeBlock &B, uint32_t FrameBase,
                               EnvNode *Outer) {
-    return extendEnv(A, Outer, B.Param, Regs[FrameBase]);
+    const uint32_t K = B.TempBase;
+    for (uint32_t J = 0; J < K; ++J) {
+      const CodeBlock &Binder =
+          B.CopyOf == kNoBlock ? B : Src.Blocks[B.CopyOf + 1 + J - K];
+      Outer = extendEnv(A, Outer, Binder.Param, Regs[FrameBase + J]);
+    }
+    return Outer;
   }
 
   /// Serializes the machine at an instruction boundary in the canonical
   /// stack-form payload layout: register windows spill to a flat operand
   /// stack (each suspended frame contributes Height[retPC]-1 values, the
-  /// executing window Height[pc]), and leaf frames materialize their
-  /// environment node. A checkpoint taken here restores on vm, vm-reg and
-  /// vm-aot, and the layout is the one the deleted stack interpreter
-  /// wrote, so its checkpoints still restore here.
+  /// executing window Height[pc]), leaf frames materialize their
+  /// environment nodes, and frames in a k-parameter copy are written as
+  /// the block it copies, at the same pc. A checkpoint taken here restores
+  /// on vm, vm-reg and vm-aot, and the layout is the one the deleted stack
+  /// interpreter wrote, so its checkpoints still restore here.
   Checkpoint makeCheckpoint(const RInstr &I) {
     CheckpointHeader H;
     H.Backend = CheckpointBackend::VM;
@@ -330,7 +386,7 @@ protected:
     Serializer &RS = W.roots();
     uint32_t CurPC = PC - 1; // The instruction that did not execute.
     const CodeBlock &CB = Src.Blocks[Block];
-    RS.writeU32(Block);
+    RS.writeU32(Src.sourceBlock(Block));
     RS.writeU32(CurPC);
     W.writeEnvNodeRef(CB.Leaf ? materializeLeafEnv(CB, Base, Env) : Env);
     uint32_t NS = CB.Height[CurPC];
@@ -348,7 +404,7 @@ protected:
     RS.writeU32(static_cast<uint32_t>(Frames.size()));
     for (const RFrame &F : Frames) {
       const CodeBlock &FB = Src.Blocks[F.Block];
-      RS.writeU32(F.Block);
+      RS.writeU32(Src.sourceBlock(F.Block));
       RS.writeU32(F.PC);
       W.writeEnvNodeRef(FB.Leaf ? materializeLeafEnv(FB, F.Base, F.Env)
                                 : F.Env);
@@ -369,8 +425,10 @@ protected:
       Opts.CheckpointSink(CK);
   }
 
+  /// A (block, pc) a checkpoint may name: copies are never named.
   bool validCodeRef(uint32_t B, uint32_t Pc) const {
-    return B < Src.Blocks.size() && Pc < Src.Blocks[B].Code.size();
+    return B < Src.Blocks.size() && Src.Blocks[B].CopyOf == kNoBlock &&
+           Pc < Src.Blocks[B].Code.size();
   }
 
   /// Rebuilds register windows from the stack-form payload: window bases
@@ -614,8 +672,8 @@ inline bool intPrim2Fast(Prim2Op Op, int64_t X, int64_t Y, Arena &A,
   Value *Rg = Regs.data();                                                     \
   auto R = [&](uint32_t Idx) -> Value & { return Rg[Base + Idx]; };            \
   auto refVal = [&](uint16_t Ref) -> Value {                                   \
-    if (Ref == kParamReg)                                                      \
-      return Rg[Base];                                                         \
+    if (isParamRef(Ref))                                                       \
+      return Rg[Base + paramRegOf(Ref)];                                       \
     EnvNode *N = Env;                                                          \
     for (uint32_t D = Ref; D; --D)                                             \
       N = N->Parent;                                                           \
@@ -658,6 +716,20 @@ inline bool intPrim2Fast(Prim2Op Op, int64_t X, int64_t Y, Arena &A,
     Base = this->Base;                                                         \
     Env = this->Env;                                                           \
     Steps = this->Steps; /* currier collapse charges steps in apply() */       \
+    Rg = Regs.data();                                                          \
+  };                                                                           \
+  auto curryCall = [&](const RInstr &In, Value Fn, bool Tail,                  \
+                       uint64_t NextPause) {                                   \
+    this->Block = Block;                                                       \
+    this->PC = PC;                                                             \
+    this->Base = Base;                                                         \
+    this->Env = Env;                                                           \
+    this->curryCall(In, Fn, Tail, NextPause);                                  \
+    Block = this->Block;                                                       \
+    PC = this->PC;                                                             \
+    Base = this->Base;                                                         \
+    Env = this->Env;                                                           \
+    Steps = this->Steps;                                                       \
     Rg = Regs.data();                                                          \
   };
 

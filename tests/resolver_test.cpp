@@ -24,9 +24,16 @@
 #include "monitors/Tracer.h"
 #include "semantics/Primitives.h"
 
+#include "syntax/Annotator.h"
+#include "syntax/Prelude.h"
+
 #include "RandomProgram.h"
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace monsem;
 
@@ -281,6 +288,125 @@ TEST(ResolverTest, UnboundVariableIsStatic) {
   EXPECT_FALSE(A.Ok);
   EXPECT_FALSE(B.Ok);
   EXPECT_EQ(A.Error, B.Error);
+}
+
+namespace {
+
+/// LamExpr::FrameReusable by its definition: nothing in the body can
+/// capture or observe the activation frame, i.e. the body holds no lambda
+/// and no annotation.
+bool capturesOrObserves(const Expr *E) {
+  switch (E->kind()) {
+  case ExprKind::Const:
+  case ExprKind::Var:
+    return false;
+  case ExprKind::Lam:
+  case ExprKind::Annot:
+    return true;
+  case ExprKind::If: {
+    const auto *I = cast<IfExpr>(E);
+    return capturesOrObserves(I->Cond) || capturesOrObserves(I->Then) ||
+           capturesOrObserves(I->Else);
+  }
+  case ExprKind::App:
+    return capturesOrObserves(cast<AppExpr>(E)->Fn) ||
+           capturesOrObserves(cast<AppExpr>(E)->Arg);
+  case ExprKind::Letrec:
+    return capturesOrObserves(cast<LetrecExpr>(E)->Bound) ||
+           capturesOrObserves(cast<LetrecExpr>(E)->Body);
+  case ExprKind::Prim1:
+    return capturesOrObserves(cast<Prim1Expr>(E)->Arg);
+  case ExprKind::Prim2:
+    return capturesOrObserves(cast<Prim2Expr>(E)->Lhs) ||
+           capturesOrObserves(cast<Prim2Expr>(E)->Rhs);
+  }
+  return true;
+}
+
+/// Resolves \p Root and checks every lambda's FrameReusable against the
+/// definition; returns the number of lambdas checked.
+size_t checkFrameReusable(const Expr *Root, const std::string &What) {
+  EXPECT_TRUE(resolveProgram(Root)->ok()) << What;
+  size_t Lams = 0;
+  std::vector<const Expr *> Work = {Root};
+  while (!Work.empty()) {
+    const Expr *E = Work.back();
+    Work.pop_back();
+    switch (E->kind()) {
+    case ExprKind::Const:
+    case ExprKind::Var:
+      break;
+    case ExprKind::Lam: {
+      const auto *L = cast<LamExpr>(E);
+      ++Lams;
+      EXPECT_EQ(L->FrameReusable, !capturesOrObserves(L->Body))
+          << What << ": lambda " << L->Param.str();
+      Work.push_back(L->Body);
+      break;
+    }
+    case ExprKind::Annot:
+      Work.push_back(cast<AnnotExpr>(E)->Inner);
+      break;
+    case ExprKind::If:
+      Work.push_back(cast<IfExpr>(E)->Cond);
+      Work.push_back(cast<IfExpr>(E)->Then);
+      Work.push_back(cast<IfExpr>(E)->Else);
+      break;
+    case ExprKind::App:
+      Work.push_back(cast<AppExpr>(E)->Fn);
+      Work.push_back(cast<AppExpr>(E)->Arg);
+      break;
+    case ExprKind::Letrec:
+      Work.push_back(cast<LetrecExpr>(E)->Bound);
+      Work.push_back(cast<LetrecExpr>(E)->Body);
+      break;
+    case ExprKind::Prim1:
+      Work.push_back(cast<Prim1Expr>(E)->Arg);
+      break;
+    case ExprKind::Prim2:
+      Work.push_back(cast<Prim2Expr>(E)->Lhs);
+      Work.push_back(cast<Prim2Expr>(E)->Rhs);
+      break;
+    }
+  }
+  return Lams;
+}
+
+} // namespace
+
+TEST(ResolverTest, FrameReusableMatchesItsDefinition) {
+  size_t Lams = 0;
+  for (const auto &Entry : std::filesystem::directory_iterator(
+           std::string(MONSEM_SOURCE_DIR) + "/examples/programs")) {
+    if (Entry.path().extension() != ".lam")
+      continue;
+    std::ifstream In(Entry.path());
+    std::stringstream SS;
+    SS << In.rdbuf();
+    for (bool Prelude : {false, true})
+      for (bool Profile : {false, true}) {
+        auto P = ParsedProgram::parse(SS.str());
+        ASSERT_TRUE(P->ok()) << Entry.path();
+        const Expr *Root = P->root();
+        DiagnosticSink D;
+        if (Prelude)
+          Root = wrapWithPrelude(P->context(), Root, D);
+        if (Profile) {
+          AnnotateOptions AO;
+          AO.Qualifier = Symbol::intern("profile");
+          Root = annotateFunctionBodies(P->context(), Root, {}, AO);
+        }
+        Lams += checkFrameReusable(Root, Entry.path().filename().string());
+      }
+  }
+  for (unsigned Seed = 0; Seed < 500; ++Seed) {
+    AstContext C1, C2;
+    Lams += checkFrameReusable(monsem::testing::genProgram(C1, Seed),
+                               "seed " + std::to_string(Seed));
+    Lams += checkFrameReusable(monsem::testing::genCurriedProgram(C2, Seed),
+                               "curried seed " + std::to_string(Seed));
+  }
+  EXPECT_GT(Lams, 1000u);
 }
 
 TEST(ResolverTest, SharedNodesAreRefused) {
